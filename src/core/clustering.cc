@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <set>
 #include <utility>
 
@@ -28,139 +29,233 @@ Cluster MakeSingletonCluster(const SpatialTaxonomy& taxonomy,
   return cluster;
 }
 
-double ClusterError(const Cluster& cluster, double beta_per_cluster) {
-  return PcepErrorBound(beta_per_cluster, static_cast<double>(cluster.n),
-                        static_cast<double>(cluster.region_size),
-                        cluster.varsigma);
-}
-
-/// The cluster forest and the per-iteration quantities of Algorithm 3.
+/// The cluster forest of Algorithm 3 and its per-pass path quantities.
 ///
-/// Every valid path is represented by its deepest cluster d: the path's
-/// cluster set is exactly the clusters whose top regions contain d's top
-/// region (a chain, since all contain d). Stale representatives (d fully
-/// covered by deeper clusters) only contribute subset-sums of real paths and
-/// never affect the maximum. All maxima below are over these per-cluster
-/// path errors:
+/// The alive clusters' top regions form a forest under containment: a
+/// cluster's parent is the nearest alive cluster whose top strictly encloses
+/// its own. Every valid path is represented by its deepest cluster d: the
+/// path's cluster set is d and its forest ancestors. Stale representatives
+/// (d fully covered by deeper clusters) only contribute subset-sums of real
+/// paths and never affect the maximum. All maxima below are over these
+/// per-cluster path errors:
 ///
-///   err_path[c]  - error of the path represented by c (sum along its chain)
-///   max_in[c]    - max err_path over the cluster subtree rooted at c
-///   max_out[c]   - max err_path over everything outside c's subtree
+///   err_path[c]    - error of the path represented by c (sum along its chain)
+///   max_in[c]      - max err_path over the cluster subtree rooted at c
+///   max_out[c]     - max err_path over everything outside c's subtree
+///   sibling_max[c] - max of max_in over c's forest siblings
 ///
 /// which lets a candidate merge (outer, inner) be evaluated in O(chain)
 /// instead of O(k): paths outside outer's subtree are unchanged; paths under
 /// inner gain (merged - err_outer - err_inner); paths under outer but not
 /// inner gain (merged - err_outer).
-struct IterationState {
-  std::vector<uint32_t> order;        // alive clusters, parents before kids
-  std::vector<int64_t> parent;        // -1 for forest roots
-  std::vector<std::vector<uint32_t>> children;
-  std::vector<double> errs;
-  std::vector<double> err_path;
-  std::vector<double> max_in;
-  std::vector<double> max_out;
-};
+///
+/// The forest is built once. A merge keeps outer's top region and removes
+/// inner, so Merge only re-parents inner's children to inner's own parent
+/// (now their nearest alive encloser; outer may sit further up) and drops
+/// inner from the parents-first order. Every per-pass quantity is a linear
+/// pass over that order and flat arrays, and nothing is allocated.
+class ClusterForest {
+ public:
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
-/// Builds the forest and all per-path quantities in O(k * (h + log k)).
-IterationState BuildIterationState(const SpatialTaxonomy& taxonomy,
-                                   const std::vector<Cluster>& clusters,
-                                   const std::vector<bool>& alive,
-                                   double beta_each) {
-  const size_t k = clusters.size();
-  IterationState state;
-  state.parent.assign(k, -1);
-  state.children.assign(k, {});
-  state.errs.assign(k, 0.0);
-  state.err_path.assign(k, 0.0);
-  state.max_in.assign(k, kNegInf);
-  state.max_out.assign(k, kNegInf);
+  struct Candidate {
+    double worst = std::numeric_limits<double>::infinity();
+    uint32_t outer = kNone;
+    uint32_t inner = kNone;
+  };
 
-  // Tops are unique among alive clusters; map taxonomy node -> cluster.
-  std::vector<int64_t> cluster_at_node(taxonomy.num_nodes(), -1);
-  for (size_t c = 0; c < k; ++c) {
-    if (alive[c]) {
-      PLDP_DCHECK(cluster_at_node[clusters[c].top_region] == -1)
+  ClusterForest(const SpatialTaxonomy& taxonomy,
+                const std::vector<Cluster>& clusters)
+      : root_(static_cast<uint32_t>(clusters.size())),
+        parent_(clusters.size()),
+        n_(clusters.size()),
+        varsigma_(clusters.size()),
+        size_index_(clusters.size()),
+        errs_(clusters.size()),
+        err_path_(clusters.size() + 1, 0.0),
+        max_in_(clusters.size()),
+        max_out_(clusters.size()),
+        sibling_max_(clusters.size()),
+        tree_root_(clusters.size()),
+        top1_(clusters.size() + 1),
+        top2_(clusters.size() + 1) {
+    // Tops are unique among alive clusters; map taxonomy node -> cluster.
+    std::vector<uint32_t> cluster_at_node(taxonomy.num_nodes(), kNone);
+    for (uint32_t c = 0; c < root_; ++c) {
+      PLDP_DCHECK(cluster_at_node[clusters[c].top_region] == kNone)
           << "two alive clusters share a top region";
-      cluster_at_node[clusters[c].top_region] = static_cast<int64_t>(c);
+      cluster_at_node[clusters[c].top_region] = c;
     }
-  }
 
-  // Parent = nearest strictly-enclosing alive cluster (walk taxonomy chain).
-  for (size_t c = 0; c < k; ++c) {
-    if (!alive[c]) continue;
-    NodeId node = clusters[c].top_region;
-    while (node != taxonomy.root()) {
-      node = taxonomy.parent(node);
-      if (cluster_at_node[node] >= 0) {
-        state.parent[c] = cluster_at_node[node];
-        state.children[cluster_at_node[node]].push_back(
-            static_cast<uint32_t>(c));
-        break;
+    // Parent = nearest strictly-enclosing cluster (walk the taxonomy chain);
+    // forest roots hang off the virtual root_, whose err_path stays 0.
+    for (uint32_t c = 0; c < root_; ++c) {
+      parent_[c] = root_;
+      NodeId node = clusters[c].top_region;
+      while (node != taxonomy.root()) {
+        node = taxonomy.parent(node);
+        if (cluster_at_node[node] != kNone) {
+          parent_[c] = cluster_at_node[node];
+          break;
+        }
       }
+      n_[c] = clusters[c].n;
+      varsigma_[c] = clusters[c].varsigma;
+      region_sizes_.push_back(clusters[c].region_size);
+    }
+
+    // Parents-before-children order: by taxonomy level of the top, then by
+    // index. Merges never move a top, so the order only ever loses entries.
+    order_.resize(root_);
+    std::iota(order_.begin(), order_.end(), 0u);
+    std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
+      const uint32_t la = taxonomy.level(clusters[a].top_region);
+      const uint32_t lb = taxonomy.level(clusters[b].top_region);
+      return la != lb ? la < lb : a < b;
+    });
+
+    // Region sizes follow the tops, so this table of distinct sizes holds
+    // every alive cluster's size for the whole call.
+    std::sort(region_sizes_.begin(), region_sizes_.end());
+    region_sizes_.erase(
+        std::unique(region_sizes_.begin(), region_sizes_.end()),
+        region_sizes_.end());
+    logs_.resize(region_sizes_.size());
+    for (uint32_t c = 0; c < root_; ++c) {
+      size_index_[c] = static_cast<uint32_t>(
+          std::lower_bound(region_sizes_.begin(), region_sizes_.end(),
+                           clusters[c].region_size) -
+          region_sizes_.begin());
     }
   }
 
-  // Parents-before-children order: sort by taxonomy level of the top.
-  for (size_t c = 0; c < k; ++c) {
-    if (alive[c]) state.order.push_back(static_cast<uint32_t>(c));
-  }
-  std::sort(state.order.begin(), state.order.end(),
-            [&](uint32_t a, uint32_t b) {
-              const uint32_t la = taxonomy.level(clusters[a].top_region);
-              const uint32_t lb = taxonomy.level(clusters[b].top_region);
-              return la != lb ? la < lb : a < b;
-            });
+  size_t num_alive() const { return order_.size(); }
 
-  for (const uint32_t c : state.order) {
-    state.errs[c] = ClusterError(clusters[c], beta_each);
-    state.err_path[c] =
-        state.errs[c] +
-        (state.parent[c] >= 0 ? state.err_path[state.parent[c]] : 0.0);
-  }
-  for (auto it = state.order.rbegin(); it != state.order.rend(); ++it) {
-    const uint32_t c = *it;
-    state.max_in[c] = state.err_path[c];
-    for (const uint32_t child : state.children[c]) {
-      state.max_in[c] = std::max(state.max_in[c], state.max_in[child]);
+  /// errs and err_path at confidence beta_each per cluster. The logs of the
+  /// bound are taken once per distinct region size.
+  void EvaluatePaths(double beta_each) {
+    for (size_t i = 0; i < region_sizes_.size(); ++i) {
+      logs_[i] = PcepErrorBoundLogs(beta_each,
+                                    static_cast<double>(region_sizes_[i]));
+    }
+    for (const uint32_t c : order_) {
+      errs_[c] = PcepErrorBoundFromLogs(logs_[size_index_[c]],
+                                        static_cast<double>(n_[c]),
+                                        varsigma_[c]);
+      err_path_[c] = errs_[c] + err_path_[parent_[c]];
     }
   }
 
-  // max_out, top-down. For a root r: the best of the other roots' subtrees.
-  // For a child z of x: outside z = outside x, plus path x itself, plus the
-  // subtrees of z's siblings.
-  double best_root = kNegInf, second_root = kNegInf;
-  for (const uint32_t c : state.order) {
-    if (state.parent[c] >= 0) continue;
-    if (state.max_in[c] > best_root) {
-      second_root = best_root;
-      best_root = state.max_in[c];
-    } else {
-      second_root = std::max(second_root, state.max_in[c]);
+  /// max_in, max_out, sibling_max and each cluster's tree root, from
+  /// err_path. top1/top2 hold the two largest max_in among a cluster's
+  /// children (the virtual root's children are the forest roots).
+  void EvaluateSubtrees() {
+    top1_[root_] = top2_[root_] = kNegInf;
+    for (const uint32_t c : order_) top1_[c] = top2_[c] = kNegInf;
+    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
+      const uint32_t c = *it;
+      const uint32_t p = parent_[c];
+      const double in = std::max(err_path_[c], top1_[c]);
+      max_in_[c] = in;
+      top2_[p] = std::max(top2_[p], std::min(top1_[p], in));
+      top1_[p] = std::max(top1_[p], in);
     }
-  }
-  for (const uint32_t c : state.order) {
-    if (state.parent[c] < 0) {
-      state.max_out[c] =
-          state.max_in[c] == best_root ? second_root : best_root;
-    }
-    double best_child = kNegInf, second_child = kNegInf;
-    for (const uint32_t child : state.children[c]) {
-      if (state.max_in[child] > best_child) {
-        second_child = best_child;
-        best_child = state.max_in[child];
+    // Outside a root: the other roots' subtrees. Outside a child z of x:
+    // outside x, plus path x itself, plus the subtrees of z's siblings.
+    for (const uint32_t c : order_) {
+      const uint32_t p = parent_[c];
+      sibling_max_[c] = max_in_[c] == top1_[p] ? top2_[p] : top1_[p];
+      if (p == root_) {
+        max_out_[c] = sibling_max_[c];
+        tree_root_[c] = c;
       } else {
-        second_child = std::max(second_child, state.max_in[child]);
+        max_out_[c] = std::max({max_out_[p], err_path_[p], sibling_max_[c]});
+        tree_root_[c] = tree_root_[p];
       }
     }
-    for (const uint32_t child : state.children[c]) {
-      const double siblings =
-          state.max_in[child] == best_child ? second_child : best_child;
-      state.max_out[child] = std::max(
-          {state.max_out[c], state.err_path[c], siblings});
+  }
+
+  /// Lines 8-17 of Algorithm 3: the first (inner, outer) pair, in
+  /// parents-first order of inner and then outward along its chain, whose
+  /// merge gives the smallest maximum path error. Pairs are exactly (inner,
+  /// one of its forest ancestors).
+  ///
+  /// Every candidate has worst >= max_out[outer]. Only a pair strictly below
+  /// the running best can replace it, and only a pair below lmax is ever
+  /// merged, so a pair with max_out[outer] >= min(best, lmax) is skipped
+  /// without changing the result. max_out never decreases down the forest,
+  /// so when an inner's tree root fails that test, all its pairs do.
+  /// `evaluations` gains one per merged error evaluated.
+  Candidate BestMerge(double lmax, uint64_t* evaluations) const {
+    Candidate best;
+    for (const uint32_t inner : order_) {
+      if (max_out_[tree_root_[inner]] >= std::min(best.worst, lmax)) continue;
+      // Walking outward: branch_max is the max over paths that are under
+      // the current outer but outside inner's branch (without deltas), so
+      // each step adds outer's own path and the subtrees of below's
+      // siblings.
+      double branch_max = kNegInf;
+      uint32_t below = inner;  // the chain node whose subtree holds inner
+      for (uint32_t outer = parent_[inner]; outer != root_;
+           below = outer, outer = parent_[outer]) {
+        branch_max =
+            std::max({branch_max, err_path_[outer], sibling_max_[below]});
+        if (max_out_[outer] >= std::min(best.worst, lmax)) continue;
+
+        const double merged = PcepErrorBoundFromLogs(
+            logs_[size_index_[outer]],
+            static_cast<double>(n_[outer] + n_[inner]),
+            varsigma_[outer] + varsigma_[inner]);
+        ++*evaluations;
+        const double delta_outer = merged - errs_[outer];
+        const double delta_inner = -errs_[inner];
+
+        double worst = max_out_[outer];  // unchanged paths
+        worst = std::max(worst, branch_max + delta_outer);
+        worst = std::max(worst, max_in_[inner] + delta_outer + delta_inner);
+        if (worst < best.worst) best = {worst, outer, inner};
+      }
+    }
+    return best;
+  }
+
+  /// Folds inner into its forest ancestor outer and unlinks inner.
+  void Merge(uint32_t outer, uint32_t inner) {
+    n_[outer] += n_[inner];
+    varsigma_[outer] += varsigma_[inner];
+    order_.erase(std::find(order_.begin(), order_.end(), inner));
+    const uint32_t up = parent_[inner];
+    for (const uint32_t c : order_) {
+      if (parent_[c] == inner) parent_[c] = up;
     }
   }
-  return state;
-}
+
+  /// The Definition 4.1 objective at the confidence of the last
+  /// EvaluatePaths.
+  double MaxPathError() const {
+    double max_err = 0.0;
+    for (const uint32_t c : order_) max_err = std::max(max_err, err_path_[c]);
+    return max_err;
+  }
+
+ private:
+  const uint32_t root_;  // the virtual root, one past the last cluster
+  std::vector<uint32_t> order_;  // alive clusters, parents before kids
+  std::vector<uint32_t> parent_;
+  std::vector<uint64_t> n_;
+  std::vector<double> varsigma_;
+  std::vector<uint32_t> size_index_;  // into region_sizes_ and logs_
+  std::vector<uint64_t> region_sizes_;
+  std::vector<PcepBoundLogs> logs_;
+  std::vector<double> errs_;
+  std::vector<double> err_path_;
+  std::vector<double> max_in_;
+  std::vector<double> max_out_;
+  std::vector<double> sibling_max_;
+  std::vector<uint32_t> tree_root_;
+  std::vector<double> top1_;
+  std::vector<double> top2_;
+};
 
 Status ValidateGroups(const SpatialTaxonomy& taxonomy,
                       const std::vector<UserGroup>& groups) {
@@ -185,14 +280,10 @@ Status ValidateGroups(const SpatialTaxonomy& taxonomy,
 double MaxPathError(const SpatialTaxonomy& taxonomy,
                     const std::vector<Cluster>& clusters, double beta) {
   if (clusters.empty()) return 0.0;
-  const std::vector<bool> alive(clusters.size(), true);
-  const IterationState state = BuildIterationState(
-      taxonomy, clusters, alive, beta / static_cast<double>(clusters.size()));
-  double max_err = 0.0;
-  for (const uint32_t c : state.order) {
-    max_err = std::max(max_err, state.err_path[c]);
-  }
-  return max_err;
+  ClusterForest forest(taxonomy, clusters);
+  forest.EvaluatePaths(beta / static_cast<double>(clusters.size()));
+  CountBoundEvaluations(clusters.size());
+  return forest.MaxPathError();
 }
 
 StatusOr<ClusteringResult> TrivialClusters(const SpatialTaxonomy& taxonomy,
@@ -223,82 +314,37 @@ StatusOr<ClusteringResult> ClusterUserGroups(
   const size_t k = clusters.size();
   if (k <= 1) return result;
 
+  ClusterForest forest(taxonomy, clusters);
   std::vector<bool> alive(k, true);
-  size_t num_alive = k;
   double lmax = result.initial_max_path_error;  // Lines 1-4 of Algorithm 3.
 
-  // Scratch: the ancestor chain of the current inner cluster.
-  std::vector<uint32_t> chain;
-
-  while (num_alive > 1 && result.merges < options.max_iterations) {
+  while (forest.num_alive() > 1) {
     // Lines 6-7: all quantities at the post-merge confidence beta/(|C|-1).
-    const double beta_each =
-        options.beta / static_cast<double>(num_alive - 1);
-    const IterationState state =
-        BuildIterationState(taxonomy, clusters, alive, beta_each);
-
-    // Lines 8-17: evaluate every comparable (same-path) pair once. Pairs are
-    // exactly (inner, one of its cluster-forest ancestors).
-    double best = std::numeric_limits<double>::infinity();
-    size_t best_outer = k, best_inner = k;
-    for (const uint32_t inner : state.order) {
-      chain.clear();
-      for (int64_t a = state.parent[inner]; a >= 0; a = state.parent[a]) {
-        chain.push_back(static_cast<uint32_t>(a));
-      }
-      // Walking outward: maintain the max over paths that are under the
-      // current outer but outside inner's branch (term B, without deltas).
-      double branch_max = kNegInf;
-      uint32_t below = inner;  // the chain node whose subtree holds inner
-      for (const uint32_t outer : chain) {
-        // Paths based at outer itself, plus subtrees of outer's children
-        // other than the branch toward inner.
-        branch_max = std::max(branch_max, state.err_path[outer]);
-        for (const uint32_t child : state.children[outer]) {
-          if (child != below) {
-            branch_max = std::max(branch_max, state.max_in[child]);
-          }
-        }
-        below = outer;
-
-        Cluster merged;
-        merged.top_region = clusters[outer].top_region;
-        merged.n = clusters[outer].n + clusters[inner].n;
-        merged.region_size = clusters[outer].region_size;
-        merged.varsigma = clusters[outer].varsigma + clusters[inner].varsigma;
-        const double delta_outer =
-            ClusterError(merged, beta_each) - state.errs[outer];
-        const double delta_inner = -state.errs[inner];
-
-        double worst = state.max_out[outer];  // unchanged paths
-        worst = std::max(worst, branch_max + delta_outer);
-        worst = std::max(worst,
-                         state.max_in[inner] + delta_outer + delta_inner);
-        if (worst < best) {
-          best = worst;
-          best_outer = outer;
-          best_inner = inner;
-        }
-      }
-    }
+    const size_t num_alive = forest.num_alive();
+    forest.EvaluatePaths(options.beta / static_cast<double>(num_alive - 1));
+    forest.EvaluateSubtrees();
+    uint64_t pair_evaluations = 0;
+    const ClusterForest::Candidate best =
+        forest.BestMerge(lmax, &pair_evaluations);
+    CountBoundEvaluations(num_alive + pair_evaluations);
 
     // Lines 18-23: merge only if the best merge improves the objective.
-    if (best_outer == k || best >= lmax) break;
-    Cluster& outer = clusters[best_outer];
-    Cluster& inner = clusters[best_inner];
+    if (best.outer == ClusterForest::kNone || best.worst >= lmax) break;
+    Cluster& outer = clusters[best.outer];
+    Cluster& inner = clusters[best.inner];
     outer.groups.insert(outer.groups.end(), inner.groups.begin(),
                         inner.groups.end());
     outer.n += inner.n;
     outer.varsigma += inner.varsigma;
-    alive[best_inner] = false;
-    --num_alive;
+    forest.Merge(best.outer, best.inner);
+    alive[best.inner] = false;
     ++result.merges;
-    lmax = best;
+    lmax = best.worst;
   }
 
   // Compact the surviving clusters.
   std::vector<Cluster> survivors;
-  survivors.reserve(num_alive);
+  survivors.reserve(forest.num_alive());
   for (size_t c = 0; c < k; ++c) {
     if (alive[c]) survivors.push_back(std::move(clusters[c]));
   }

@@ -39,10 +39,6 @@ struct ClusteringOptions {
   /// Overall confidence level beta; each of the final |C| clusters runs its
   /// PCEP with confidence beta / |C| (Algorithm 4, line 7).
   double beta = 0.1;
-
-  /// Safety bound on merge iterations (an agglomerative pass performs at most
-  /// k - 1 merges anyway).
-  uint32_t max_iterations = 1u << 20;
 };
 
 struct ClusteringResult {
@@ -65,7 +61,10 @@ struct ClusteringResult {
 /// same-path clusters whose merge yields the smallest maximum path error,
 /// stopping when no merge improves the objective. The error of a cluster is
 /// the Theorem 4.5 bound at the confidence level the cluster would receive
-/// after the merge (beta / (|C| - 1)), exactly as in the paper.
+/// after the merge (beta / (|C| - 1)), exactly as in the paper. Among equally
+/// good merges it takes the one whose inner cluster has the shallowest top
+/// region (then the lowest index) and, for that inner cluster, the nearest
+/// enclosing outer cluster.
 StatusOr<ClusteringResult> ClusterUserGroups(const SpatialTaxonomy& taxonomy,
                                              const std::vector<UserGroup>& groups,
                                              const ClusteringOptions& options);

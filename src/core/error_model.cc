@@ -6,18 +6,6 @@
 #include "util/logging.h"
 
 namespace pldp {
-namespace {
-
-// Counter, not a span: the clustering objective evaluates this bound O(k^2)
-// times per merge pass, so the trajectory wants the evaluation volume, and
-// the trace collector could not afford one record per call.
-obs::Counter* BoundEvaluationsCounter() {
-  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
-      "error_model.bound_evaluations");
-  return counter;
-}
-
-}  // namespace
 
 double CEpsilon(double epsilon) {
   PLDP_CHECK(epsilon > 0.0) << "CEpsilon requires epsilon > 0";
@@ -30,16 +18,30 @@ double PrivacyFactorTerm(double epsilon) {
   return c * c;
 }
 
-double PcepErrorBound(double beta, double n, double region_size,
-                      double varsigma) {
+PcepBoundLogs PcepErrorBoundLogs(double beta, double region_size) {
   PLDP_CHECK(beta > 0.0 && beta < 1.0) << "beta must be in (0, 1)";
   PLDP_CHECK(region_size >= 1.0) << "region size must be at least 1";
-  BoundEvaluationsCounter()->Increment();
-  if (n <= 0.0) return 0.0;
-  const double sampling_term =
-      std::sqrt(2.0 * varsigma * std::log(4.0 * region_size / beta));
-  const double jl_term = std::sqrt(n * std::log(2.0 * region_size / beta));
-  return sampling_term + jl_term;
+  PcepBoundLogs logs;
+  logs.sampling = std::log(4.0 * region_size / beta);
+  logs.jl = std::log(2.0 * region_size / beta);
+  return logs;
+}
+
+double PcepErrorBound(double beta, double n, double region_size,
+                      double varsigma) {
+  const PcepBoundLogs logs = PcepErrorBoundLogs(beta, region_size);
+  CountBoundEvaluations(1);
+  return PcepErrorBoundFromLogs(logs, n, varsigma);
+}
+
+void CountBoundEvaluations(uint64_t count) {
+  // Counter, not a span: the clustering objective evaluates the bound for
+  // every alive cluster on every merge pass, so the trajectory wants the
+  // evaluation volume, and the trace collector could not afford one record
+  // per evaluation. Bulk callers add a whole pass's count at once.
+  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
+      "error_model.bound_evaluations");
+  counter->Increment(count);
 }
 
 }  // namespace pldp

@@ -1,12 +1,16 @@
 // Equivalence check: the optimized cluster-forest implementation of
 // Algorithm 3 must produce exactly the same merge decisions as a
 // straightforward O(k^2)-per-pair reference implementation, across many
-// randomized group configurations.
+// randomized group configurations. Each cluster's group list records the
+// order of its merges, so comparing the lists in order compares the whole
+// merge sequence.
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <set>
+#include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +29,23 @@ double RefClusterError(const SpatialTaxonomy& taxonomy, const Cluster& cluster,
   return PcepErrorBound(beta_each, static_cast<double>(cluster.n),
                         static_cast<double>(cluster.region_size),
                         cluster.varsigma);
+}
+
+/// Algorithm 3 does not say which of several equally good merges to take.
+/// ClusterUserGroups takes the first in its scan order: inner clusters
+/// parents-first by (top level, index), and for each inner its outer clusters
+/// from the nearest enclosing one outward. Exact ties are common (every merge
+/// that leaves the worst path alone scores that path's error), so the
+/// reference applies the same rule instead of its loops' index order.
+bool ScanOrderBefore(const SpatialTaxonomy& taxonomy,
+                     const std::vector<Cluster>& clusters, size_t outer,
+                     size_t inner, size_t other_outer, size_t other_inner) {
+  const auto key = [&](size_t o, size_t i) {
+    return std::make_tuple(taxonomy.level(clusters[i].top_region), i,
+                           -static_cast<int64_t>(
+                               taxonomy.level(clusters[o].top_region)));
+  };
+  return key(outer, inner) < key(other_outer, other_inner);
 }
 
 /// Literal transcription of Algorithm 3: paths are represented by every
@@ -93,7 +114,10 @@ ClusteringResult ReferenceCluster(const SpatialTaxonomy& taxonomy,
           }
           worst = std::max(worst, err);
         }
-        if (worst < best) {
+        if (worst < best ||
+            (worst == best && ScanOrderBefore(taxonomy, clusters, outer,
+                                              inner, best_outer,
+                                              best_inner))) {
           best = worst;
           best_outer = outer;
           best_inner = inner;
@@ -121,6 +145,14 @@ ClusteringResult ReferenceCluster(const SpatialTaxonomy& taxonomy,
   return result;
 }
 
+UserGroup MakeGroup(NodeId region, uint64_t n, double eps) {
+  UserGroup group;
+  group.region = region;
+  group.members.resize(n);
+  group.varsigma = static_cast<double>(n) * PrivacyFactorTerm(eps);
+  return group;
+}
+
 std::vector<UserGroup> RandomGroups(const SpatialTaxonomy& taxonomy,
                                     size_t count, Rng* rng) {
   std::vector<UserGroup> groups;
@@ -129,51 +161,143 @@ std::vector<UserGroup> RandomGroups(const SpatialTaxonomy& taxonomy,
     const auto node =
         static_cast<NodeId>(rng->NextUint64(taxonomy.num_nodes()));
     if (!used.insert(node).second) continue;
-    UserGroup group;
-    group.region = node;
-    group.members.resize(1 + rng->NextUint64(30000));
+    const uint64_t n = 1 + rng->NextUint64(30000);
     const double eps = 0.25 + 0.25 * rng->NextUint64(5);
-    group.varsigma =
-        static_cast<double>(group.members.size()) * PrivacyFactorTerm(eps);
-    groups.push_back(std::move(group));
+    groups.push_back(MakeGroup(node, n, eps));
   }
   return groups;
 }
 
-/// Canonical form for comparing clusterings: sorted group sets per cluster.
-std::set<std::vector<uint32_t>> Canonical(const ClusteringResult& result) {
-  std::set<std::vector<uint32_t>> canonical;
-  for (const Cluster& cluster : result.clusters) {
-    std::vector<uint32_t> groups = cluster.groups;
-    std::sort(groups.begin(), groups.end());
-    canonical.insert(std::move(groups));
+SpatialTaxonomy MakeTaxonomy(double side) {
+  const UniformGrid grid =
+      UniformGrid::Create(BoundingBox{0, 0, side, side}, 1, 1).value();
+  return SpatialTaxonomy::Build(grid, 4).value();
+}
+
+/// `node` or one of its descendants, reached by a random walk down from
+/// `node` of random length.
+NodeId RandomDescendant(const SpatialTaxonomy& taxonomy, NodeId node,
+                        Rng* rng) {
+  const uint64_t steps =
+      rng->NextUint64(taxonomy.height() - taxonomy.level(node) + 1);
+  for (uint64_t s = 0; s < steps; ++s) {
+    const std::vector<NodeId>& children = taxonomy.children(node);
+    node = children[rng->NextUint64(children.size())];
   }
-  return canonical;
+  return node;
+}
+
+void ExpectSameClustering(const ClusteringResult& optimized,
+                          const ClusteringResult& reference,
+                          const std::string& label) {
+  EXPECT_EQ(optimized.merges, reference.merges) << label;
+  EXPECT_EQ(optimized.initial_max_path_error,
+            reference.initial_max_path_error)
+      << label;
+  EXPECT_EQ(optimized.final_max_path_error, reference.final_max_path_error)
+      << label;
+  ASSERT_EQ(optimized.clusters.size(), reference.clusters.size()) << label;
+  for (size_t c = 0; c < reference.clusters.size(); ++c) {
+    EXPECT_EQ(optimized.clusters[c].groups, reference.clusters[c].groups)
+        << label << ", cluster " << c;
+  }
+}
+
+void ExpectMatchesReference(const SpatialTaxonomy& taxonomy,
+                            const std::vector<UserGroup>& groups,
+                            const std::string& label) {
+  const double beta = 0.1;
+  const ClusteringResult reference = ReferenceCluster(taxonomy, groups, beta);
+  const ClusteringResult optimized =
+      ClusterUserGroups(taxonomy, groups, ClusteringOptions{beta}).value();
+  ExpectSameClustering(optimized, reference, label);
 }
 
 class ClusteringEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(ClusteringEquivalenceTest, OptimizedMatchesReference) {
   const int scenario = GetParam();
-  const UniformGrid grid =
-      UniformGrid::Create(BoundingBox{0, 0, 16, 16}, 1, 1).value();
-  const SpatialTaxonomy taxonomy = SpatialTaxonomy::Build(grid, 4).value();
+  const SpatialTaxonomy taxonomy = MakeTaxonomy(16);
   Rng rng(1000 + scenario);
   const size_t count = 2 + rng.NextUint64(24);
-  const std::vector<UserGroup> groups = RandomGroups(taxonomy, count, &rng);
-  const double beta = 0.1;
+  ExpectMatchesReference(taxonomy, RandomGroups(taxonomy, count, &rng),
+                         "scenario " + std::to_string(scenario));
+}
 
-  const ClusteringResult reference = ReferenceCluster(taxonomy, groups, beta);
-  const ClusteringResult optimized =
-      ClusterUserGroups(taxonomy, groups, ClusteringOptions{beta}).value();
+// Groups only inside a few disjoint level-2 subtrees of a 64x64 taxonomy,
+// none above them: the cluster forest has several root trees, and the
+// optimized scan skips whole trees whose root cannot beat the running best.
+TEST_P(ClusteringEquivalenceTest, DisjointRootTreesMatchReference) {
+  const int scenario = GetParam();
+  const SpatialTaxonomy taxonomy = MakeTaxonomy(64);
+  Rng rng(2000 + scenario);
+  std::vector<NodeId> level2;
+  for (NodeId node = 0; node < taxonomy.num_nodes(); ++node) {
+    if (taxonomy.level(node) == 2) level2.push_back(node);
+  }
+  std::vector<NodeId> tree_tops;
+  const size_t num_trees = 2 + rng.NextUint64(4);
+  while (tree_tops.size() < num_trees) {
+    const NodeId top = level2[rng.NextUint64(level2.size())];
+    if (std::find(tree_tops.begin(), tree_tops.end(), top) ==
+        tree_tops.end()) {
+      tree_tops.push_back(top);
+    }
+  }
+  const size_t count = 20 + rng.NextUint64(30);
+  std::vector<UserGroup> groups;
+  std::set<NodeId> used;
+  while (groups.size() < count) {
+    const NodeId node = RandomDescendant(
+        taxonomy, tree_tops[rng.NextUint64(tree_tops.size())], &rng);
+    if (!used.insert(node).second) continue;
+    const uint64_t n = 1 + rng.NextUint64(30000);
+    const double eps = 0.25 + 0.25 * rng.NextUint64(5);
+    groups.push_back(MakeGroup(node, n, eps));
+  }
+  ExpectMatchesReference(taxonomy, groups,
+                         "disjoint trees " + std::to_string(scenario));
+}
 
-  EXPECT_EQ(optimized.merges, reference.merges) << "scenario " << scenario;
-  EXPECT_EQ(Canonical(optimized), Canonical(reference))
-      << "scenario " << scenario;
-  EXPECT_NEAR(optimized.final_max_path_error,
-              reference.final_max_path_error,
-              1e-6 * (1.0 + reference.final_max_path_error))
-      << "scenario " << scenario;
+// Every chosen parent gets a group, and all of its children get groups with
+// equal n and equal epsilon, so sibling merges tie exactly and the strict-<
+// tie-break decides which sibling merges first. The groups are shuffled, so
+// index order and taxonomy order disagree.
+TEST_P(ClusteringEquivalenceTest, EqualSiblingsMatchReference) {
+  const int scenario = GetParam();
+  const SpatialTaxonomy taxonomy = MakeTaxonomy(16);
+  Rng rng(3000 + scenario);
+  std::vector<NodeId> internal;
+  for (NodeId node = 0; node < taxonomy.num_nodes(); ++node) {
+    if (!taxonomy.IsLeaf(node)) internal.push_back(node);
+  }
+  std::vector<UserGroup> groups;
+  std::set<NodeId> used;
+  const size_t num_parents = 2 + rng.NextUint64(4);
+  for (size_t placed = 0; placed < num_parents;) {
+    const NodeId parent = internal[rng.NextUint64(internal.size())];
+    bool clash = used.count(parent) != 0;
+    for (const NodeId child : taxonomy.children(parent)) {
+      clash = clash || used.count(child) != 0;
+    }
+    if (clash) continue;
+    used.insert(parent);
+    const uint64_t parent_n = 1 + rng.NextUint64(30000);
+    const double parent_eps = 0.25 + 0.25 * rng.NextUint64(5);
+    groups.push_back(MakeGroup(parent, parent_n, parent_eps));
+    const uint64_t n = 1 + rng.NextUint64(30000);
+    const double eps = 0.25 + 0.25 * rng.NextUint64(5);
+    for (const NodeId child : taxonomy.children(parent)) {
+      used.insert(child);
+      groups.push_back(MakeGroup(child, n, eps));
+    }
+    ++placed;
+  }
+  for (size_t i = groups.size(); i > 1; --i) {
+    std::swap(groups[i - 1], groups[rng.NextUint64(i)]);
+  }
+  ExpectMatchesReference(taxonomy, groups,
+                         "equal siblings " + std::to_string(scenario));
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomConfigurations, ClusteringEquivalenceTest,

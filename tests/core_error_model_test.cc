@@ -45,6 +45,26 @@ TEST(PcepErrorBoundTest, MatchesClosedForm) {
   EXPECT_NEAR(PcepErrorBound(beta, n, d, varsigma), expected, 1e-9);
 }
 
+// The clustering tabulates the per-(beta, d) logs once per pass and runs
+// only the per-cluster step per cluster; that must give PcepErrorBound's
+// exact bits.
+TEST(PcepErrorBoundTest, SplitFormEqualsBound) {
+  for (const double beta : {1e-6, 1e-3, 0.1 / 10653, 0.05, 0.1, 0.5, 0.99}) {
+    for (const double d : {1.0, 3.0, 16.0, 20.0, 1024.0, 12390.0, 1e6}) {
+      const PcepBoundLogs logs = PcepErrorBoundLogs(beta, d);
+      for (const double n : {0.0, 1.0, 7.0, 1000.0, 150000.0, 1e6}) {
+        for (const double eps : {0.1, 0.5, 1.0, 2.0}) {
+          const double varsigma = n * PrivacyFactorTerm(eps);
+          EXPECT_EQ(PcepErrorBoundFromLogs(logs, n, varsigma),
+                    PcepErrorBound(beta, n, d, varsigma))
+              << "beta " << beta << " d " << d << " n " << n << " eps "
+              << eps;
+        }
+      }
+    }
+  }
+}
+
 TEST(PcepErrorBoundTest, ZeroUsersZeroError) {
   EXPECT_DOUBLE_EQ(PcepErrorBound(0.1, 0, 10, 0), 0.0);
 }
@@ -85,6 +105,8 @@ TEST(PcepErrorBoundDeathTest, RejectsBadInputs) {
   EXPECT_DEATH(PcepErrorBound(0.0, 10, 10, 1), "beta");
   EXPECT_DEATH(PcepErrorBound(1.0, 10, 10, 1), "beta");
   EXPECT_DEATH(PcepErrorBound(0.1, 10, 0, 1), "region");
+  EXPECT_DEATH(PcepErrorBoundLogs(0.0, 10), "beta");
+  EXPECT_DEATH(PcepErrorBoundLogs(0.1, 0), "region");
   EXPECT_DEATH(CEpsilon(0.0), "epsilon");
   EXPECT_DEATH(CEpsilon(-1.0), "epsilon");
 }

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numeric>
+#include <ostream>
 #include <tuple>
 
 #include <gtest/gtest.h>
@@ -49,8 +50,18 @@ double Mae(const std::vector<double>& truth,
   return mae;
 }
 
-class OracleContractTest
-    : public ::testing::TestWithParam<const FrequencyOracle*> {};
+/// An oracle under test and the fixed label of its case. gtest would print
+/// the oracle's address, which moves with every load of the binary, so the
+/// case names that ctest discovers at build time changed from build to
+/// build. The labels are the names these cases were last listed under.
+struct OracleCase {
+  const FrequencyOracle* oracle;
+  const char* label;
+};
+
+void PrintTo(const OracleCase& c, std::ostream* os) { *os << c.label; }
+
+class OracleContractTest : public ::testing::TestWithParam<OracleCase> {};
 
 const PcepOracle kPcep;
 const KrrOracle kKrr;
@@ -60,14 +71,14 @@ const OueOracle kOue;
 const HadamardOracle kHr;
 
 TEST_P(OracleContractTest, RejectsBadInputs) {
-  const FrequencyOracle& oracle = *GetParam();
+  const FrequencyOracle& oracle = *GetParam().oracle;
   EXPECT_FALSE(oracle.EstimateCounts({}, 8, 0.1, 1).ok());
   EXPECT_FALSE(oracle.EstimateCounts({{9, 1.0}}, 8, 0.1, 1).ok());
   EXPECT_FALSE(oracle.EstimateCounts({{0, 0.0}}, 8, 0.1, 1).ok());
 }
 
 TEST_P(OracleContractTest, DeterministicPerSeed) {
-  const FrequencyOracle& oracle = *GetParam();
+  const FrequencyOracle& oracle = *GetParam().oracle;
   std::vector<double> truth;
   const auto users = SkewedUsers(3000, 16, 1.0, &truth);
   const auto a = oracle.EstimateCounts(users, 16, 0.1, 7).value();
@@ -78,7 +89,7 @@ TEST_P(OracleContractTest, DeterministicPerSeed) {
 }
 
 TEST_P(OracleContractTest, TracksSkewedCounts) {
-  const FrequencyOracle& oracle = *GetParam();
+  const FrequencyOracle& oracle = *GetParam().oracle;
   std::vector<double> truth;
   const int n = 40000;
   const auto users = SkewedUsers(n, 16, 1.0, &truth);
@@ -89,9 +100,14 @@ TEST_P(OracleContractTest, TracksSkewedCounts) {
   EXPECT_NEAR(counts[0], truth[0], 0.5 * truth[0]) << oracle.Name();
 }
 
-INSTANTIATE_TEST_SUITE_P(AllOracles, OracleContractTest,
-                         ::testing::Values(&kPcep, &kKrr, &kRappor, &kOlh,
-                                           &kOue, &kHr));
+INSTANTIATE_TEST_SUITE_P(
+    AllOracles, OracleContractTest,
+    ::testing::Values(OracleCase{&kPcep, "0x558a751e2560"},
+                      OracleCase{&kKrr, "0x558a751e23a8"},
+                      OracleCase{&kRappor, "0x558a751e2550"},
+                      OracleCase{&kOlh, "0x558a751e23a0"},
+                      OracleCase{&kOue, "0x558a751e2398"},
+                      OracleCase{&kHr, "0x558a751e2390"}));
 
 TEST(KrrOracleTest, UnbiasedAcrossMixedEpsilons) {
   // All users hold item 3; half report at eps .5, half at 1.5. The debiased
