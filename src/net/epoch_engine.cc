@@ -1,47 +1,20 @@
 #include "net/epoch_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 #include <utility>
 
-#include "core/consistency.h"
-#include "core/error_model.h"
-#include "core/pcep.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/cpu.h"
-#include "util/logging.h"
-#include "util/random.h"
-#include "util/thread_pool.h"
 
 namespace pldp {
 namespace net {
 
-namespace {
-
-/// Per-cluster seed stride; must match AggregationServer::Execute exactly or
-/// the daemon's JL matrices and row streams diverge from the in-process run.
-constexpr uint64_t kClusterSeedStride = 0x9E3779B97F4A7C15ULL;
-
-unsigned FoldChunks(const PsdaOptions& psda) {
-  // Rounded to the topology group count so per-cluster fold work splits
-  // evenly across NUMA nodes / cache domains; fold output is slot-per-
-  // cluster and merged in cluster order, so the chunk count never changes
-  // results.
-  return TopologyAlignedChunks(psda.num_threads != 0
-                                   ? psda.num_threads
-                                   : ThreadPool::Global().num_threads());
-}
-
-}  // namespace
-
 EpochEngine::EpochEngine(const SpatialTaxonomy* taxonomy,
                          EpochEngineOptions options)
-    : taxonomy_(taxonomy),
-      options_(std::move(options)),
-      admission_(options_.admission) {}
+    : options_(std::move(options)),
+      epoch_(taxonomy, options_.psda, options_.epoch, options_.admission) {}
 
 EpochEngine::Phase EpochEngine::phase() const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -64,11 +37,7 @@ SpecOutcome EpochEngine::RegisterSpec(uint64_t user_id,
     return SpecOutcome::kWrongPhase;
   }
   const PrivacySpec spec{msg.safe_region, msg.epsilon};
-  // Same acceptance rule as the in-process spec phase: a spec that parses but
-  // fails validation — or whose epsilon maps to a non-finite debiasing
-  // constant — must not poison the grouping, so it is refused here.
-  if (!ValidatePrivacySpec(*taxonomy_, spec).ok() ||
-      !std::isfinite(CEpsilon(spec.epsilon))) {
+  if (!epoch_.AcceptSpec(spec).ok()) {
     ++stats_.specs_invalid;
     invalid->Increment();
     return SpecOutcome::kInvalid;
@@ -98,105 +67,38 @@ Status EpochEngine::SealSpecs(uint64_t cohort_size) {
         "cohort size " + std::to_string(cohort_size) + " is below the " +
         std::to_string(pending_specs_.size()) + " registered specs");
   }
-  roster_.clear();
-  roster_.reserve(pending_specs_.size());
+  std::vector<uint32_t> roster;
+  roster.reserve(pending_specs_.size());
   for (const auto& entry : pending_specs_) {
     // EpochCheckpoint rosters are 32-bit user indices; refusing wider ids at
     // the seal keeps every later snapshot loadable.
-    if (entry.first >= cohort_size ||
-        entry.first > std::numeric_limits<uint32_t>::max()) {
-      return Status::InvalidArgument(
-          "registered user id " + std::to_string(entry.first) +
-          " is outside the cohort of " + std::to_string(cohort_size));
+    if (entry.first > std::numeric_limits<uint32_t>::max()) {
+      return Status::InvalidArgument("registered user id " +
+                                     std::to_string(entry.first) +
+                                     " does not fit a 32-bit roster");
     }
-    roster_.push_back(static_cast<uint32_t>(entry.first));
+    roster.push_back(static_cast<uint32_t>(entry.first));
   }
   // Canonical roster order: ascending user id. When every cohort member
   // registers, this is exactly the client-index order the in-process spec
   // phase produces, which is what makes the transcripts comparable.
-  std::sort(roster_.begin(), roster_.end());
-  specs_.clear();
-  specs_.reserve(roster_.size());
-  for (const uint32_t id : roster_) specs_.push_back(pending_specs_[id]);
-  cohort_size_ = cohort_size;
-  PLDP_RETURN_IF_ERROR(BuildClustersLocked());
+  std::sort(roster.begin(), roster.end());
+  std::vector<PrivacySpec> specs;
+  specs.reserve(roster.size());
+  for (const uint32_t id : roster) specs.push_back(pending_specs_[id]);
+  PLDP_RETURN_IF_ERROR(
+      epoch_.Seal(std::move(roster), std::move(specs), cohort_size));
   pending_specs_.clear();
   phase_ = Phase::kCollectingReports;
 
   auto& registry = obs::MetricsRegistry::Global();
   static obs::Gauge* clusters = registry.GetGauge("net.clusters");
   static obs::Gauge* responders = registry.GetGauge("net.spec_responders");
-  clusters->Set(static_cast<double>(accumulators_.size()));
-  responders->Set(static_cast<double>(specs_.size()));
+  clusters->Set(static_cast<double>(epoch_.num_clusters()));
+  responders->Set(static_cast<double>(epoch_.roster().size()));
   obs::FlightRecorder::Global().Record(obs::FlightEventType::kPhase,
                                        "phase.collecting_reports",
-                                       specs_.size(), cohort_size_);
-  return Status::OK();
-}
-
-Status EpochEngine::BuildClustersLocked() {
-  PLDP_ASSIGN_OR_RETURN(groups_, GroupSpecsBySafeRegion(*taxonomy_, specs_));
-
-  ClusteringOptions cluster_options;
-  cluster_options.beta = options_.psda.beta;
-  PLDP_ASSIGN_OR_RETURN(
-      clustering_,
-      options_.psda.enable_clustering
-          ? ClusterUserGroups(*taxonomy_, groups_, cluster_options)
-          : TrivialClusters(*taxonomy_, groups_, cluster_options));
-
-  beta_each_ = options_.psda.beta /
-               static_cast<double>(clustering_.clusters.size());
-  regions_.clear();
-  regions_.reserve(clustering_.clusters.size());
-  accumulators_.clear();
-  accumulators_.reserve(clustering_.clusters.size());
-  cluster_order_.assign(clustering_.clusters.size(), {});
-  assignments_.assign(specs_.size(), RowAssignment{});
-  slots_.assign(specs_.size(), Slot{});
-  slot_of_user_.clear();
-  slot_of_user_.reserve(roster_.size());
-  for (uint32_t k = 0; k < roster_.size(); ++k) slot_of_user_[roster_[k]] = k;
-
-  for (size_t c = 0; c < clustering_.clusters.size(); ++c) {
-    const Cluster& cluster = clustering_.clusters[c];
-    regions_.push_back(taxonomy_->RegionCells(cluster.top_region));
-
-    PcepParams params;
-    params.beta = beta_each_;
-    params.seed =
-        SplitMix64(options_.psda.seed ^ ((c + 1) * kClusterSeedStride));
-    params.max_reduced_dimension = options_.psda.max_reduced_dimension;
-
-    uint64_t cluster_n = 0;
-    for (const uint32_t g : cluster.groups) cluster_n += groups_[g].n();
-    PLDP_ASSIGN_OR_RETURN(
-        ClusterAccumulator acc,
-        ClusterAccumulator::Create(static_cast<uint32_t>(c),
-                                   cluster.top_region, regions_.back().size(),
-                                   cluster_n, params));
-    accumulators_.push_back(std::move(acc));
-
-    // Precompute every row assignment by replaying the per-cluster
-    // assignment RNG over the roster in the in-process ingest order (groups
-    // within the cluster, members within the group). A row is drawn for
-    // every roster member unconditionally — users who later shed, duplicate,
-    // or never report still consumed their draw, exactly as in
-    // AggregationServer::Execute.
-    const PcepSeeds seeds(
-        SplitMix64(options_.psda.seed ^ ((c + 1) * kClusterSeedStride)));
-    Rng row_rng(seeds.row_assignment);
-    const ClusterAccumulator& built = accumulators_.back();
-    for (const uint32_t g : cluster.groups) {
-      for (const uint32_t spec_index : groups_[g].members) {
-        RowAssignment assignment;
-        assignment.cluster = static_cast<uint32_t>(c);
-        assignment.row = built.pcep().AssignRow(&row_rng);
-        assignments_[spec_index] = assignment;
-        cluster_order_[c].push_back(spec_index);
-      }
-    }
-  }
+                                       epoch_.roster().size(), cohort_size);
   return Status::OK();
 }
 
@@ -206,19 +108,12 @@ StatusOr<RowAssignmentMsg> EpochEngine::Assignment(uint64_t user_id) const {
     return Status::FailedPrecondition(
         "row assignments exist only after seal_specs");
   }
-  const auto it = slot_of_user_.find(user_id);
-  if (it == slot_of_user_.end()) {
+  const std::optional<uint32_t> slot = epoch_.SlotOf(user_id);
+  if (!slot.has_value()) {
     return Status::NotFound("user " + std::to_string(user_id) +
                             " is not in the sealed roster");
   }
-  const RowAssignment& assignment = assignments_[it->second];
-  const ClusterAccumulator& acc = accumulators_[assignment.cluster];
-  RowAssignmentMsg msg;
-  msg.region = clustering_.clusters[assignment.cluster].top_region;
-  msg.m = acc.pcep().m();
-  msg.row_index = assignment.row;
-  msg.row_bits = acc.pcep().sign_matrix().Row(assignment.row);
-  return msg;
+  return epoch_.Assignment(*slot);
 }
 
 ReportOutcome EpochEngine::SubmitReport(uint64_t user_id,
@@ -249,69 +144,30 @@ ReportOutcome EpochEngine::SubmitReport(uint64_t user_id,
     late->Increment();
     return ReportOutcome::kLate;
   }
-  const auto it = slot_of_user_.find(user_id);
-  if (it == slot_of_user_.end()) {
+  const std::optional<uint32_t> slot = epoch_.SlotOf(user_id);
+  if (!slot.has_value()) {
     ++stats_.unknown_user_frames;
     unknown->Increment();
     return ReportOutcome::kUnknownUser;
   }
-  Slot& slot = slots_[it->second];
-  if (slot.state != SlotState::kNone) {
-    ++stats_.reports_duplicate;
-    duplicates->Increment();
-    return ReportOutcome::kDuplicate;
+  switch (epoch_.Admit(*slot)) {
+    case EpochAccumulator::Verdict::kDuplicate:
+      ++stats_.reports_duplicate;
+      duplicates->Increment();
+      return ReportOutcome::kDuplicate;
+    case EpochAccumulator::Verdict::kShed:
+      ++stats_.reports_shed;
+      shed->Increment();
+      obs::FlightRecorder::Global().Record(obs::FlightEventType::kShed,
+                                           "report.shed", user_id);
+      return ReportOutcome::kShed;
+    case EpochAccumulator::Verdict::kAccepted:
+      break;
   }
-  if (!admission_.Admit()) {
-    accumulators_[assignments_[it->second].cluster].RecordShed();
-    slot.state = SlotState::kShed;
-    ++stats_.reports_shed;
-    shed->Increment();
-    obs::FlightRecorder::Global().Record(obs::FlightEventType::kShed,
-                                         "report.shed", user_id);
-    return ReportOutcome::kShed;
-  }
-  slot.state = SlotState::kStaged;
-  slot.positive = msg.positive;
+  epoch_.Stage(*slot, msg.positive);
   ++stats_.reports_staged;
   staged->Increment();
   return ReportOutcome::kAccepted;
-}
-
-void EpochEngine::FoldStagedLocked() {
-  PLDP_SPAN("net.fold");
-  // Clusters are independent accumulators and every slot belongs to exactly
-  // one cluster, so the fold parallelizes over clusters with no shared
-  // writes. Within a cluster the fold is serial in cluster_order_ — the
-  // in-process ingest order — which is what keeps a single-fold run
-  // bit-identical to RunEpoch regardless of socket arrival order or thread
-  // count.
-  ThreadPool::Global().ParallelFor(
-      0, accumulators_.size(), FoldChunks(options_.psda),
-      [this](unsigned, size_t chunk_begin, size_t chunk_end) {
-        for (size_t c = chunk_begin; c < chunk_end; ++c) {
-          ClusterAccumulator& acc = accumulators_[c];
-          const double sqrt_m =
-              std::sqrt(static_cast<double>(acc.pcep().m()));
-          for (const uint32_t slot_index : cluster_order_[c]) {
-            Slot& slot = slots_[slot_index];
-            if (slot.state != SlotState::kStaged) continue;
-            const double magnitude =
-                CEpsilon(specs_[slot_index].epsilon) * sqrt_m;
-            acc.IngestReport(assignments_[slot_index].row,
-                             slot.positive ? magnitude : -magnitude,
-                             PrivacyFactorTerm(specs_[slot_index].epsilon));
-            slot.state = SlotState::kFolded;
-          }
-        }
-      });
-  // Recount after the fan-out instead of incrementing a shared counter from
-  // the workers: one O(n) scan per fold (seal or checkpoint) is cheap and
-  // keeps the hot loop write-free outside its own cluster.
-  uint64_t folded = 0;
-  for (const Slot& slot : slots_) {
-    if (slot.state == SlotState::kFolded) ++folded;
-  }
-  stats_.reports_folded = folded;
 }
 
 Status EpochEngine::SealEpoch() {
@@ -324,82 +180,16 @@ Status EpochEngine::SealEpoch() {
     return Status::OK();  // idempotent: a retried seal is not an error
   }
 
-  FoldStagedLocked();
-
   // The final snapshot makes the fully folded epoch durable before decode,
   // mirroring the in-process epoch teardown: a crash between fold and
   // publish recovers with zero report loss.
   if (options_.checkpoint.enabled()) {
-    PLDP_RETURN_IF_ERROR(SaveSnapshotLocked());
+    PLDP_RETURN_IF_ERROR(CheckpointLocked());
   }
-
-  {
-    PLDP_SPAN("net.decode");
-    // Per-cluster decode is embarrassingly parallel (the serial Estimate()
-    // of independent accumulators); the merge below stays serial in cluster
-    // order because overlapping regions make the merge order part of the
-    // bit-identity contract.
-    std::vector<std::vector<double>> estimates(accumulators_.size());
-    ThreadPool::Global().ParallelFor(
-        0, accumulators_.size(), FoldChunks(options_.psda),
-        [this, &estimates](unsigned, size_t chunk_begin, size_t chunk_end) {
-          for (size_t c = chunk_begin; c < chunk_end; ++c) {
-            if (accumulators_[c].n_responded() > 0) {
-              estimates[c] = accumulators_[c].Estimate();
-            }
-          }
-        });
-
-    std::vector<double> raw_counts(taxonomy_->grid().num_cells(), 0.0);
-    cluster_response_.clear();
-    cluster_response_.reserve(accumulators_.size());
-    for (size_t c = 0; c < accumulators_.size(); ++c) {
-      const ClusterAccumulator& acc = accumulators_[c];
-      const std::vector<CellId>& region = regions_[c];
-      const uint64_t cluster_n = acc.n_expected();
-      const uint64_t n_responded = acc.n_responded();
-
-      ClusterResponseStats response;
-      response.cluster_index = static_cast<uint32_t>(c);
-      response.n_expected = cluster_n;
-      response.n_responded = n_responded;
-      response.n_shed = acc.n_shed();
-      response.response_rate =
-          cluster_n == 0 ? 0.0
-                         : static_cast<double>(n_responded) /
-                               static_cast<double>(cluster_n);
-      response.error_bound =
-          n_responded == 0
-              ? 0.0
-              : PcepErrorBound(beta_each_, static_cast<double>(n_responded),
-                               static_cast<double>(region.size()),
-                               acc.varsigma_responded());
-      cluster_response_.push_back(response);
-
-      if (n_responded == 0) {
-        PLDP_LOG(Warning) << "cluster " << c
-                          << " received no reports; its region contributes 0";
-        continue;
-      }
-      const double rescale = static_cast<double>(cluster_n) /
-                             static_cast<double>(n_responded);
-      for (size_t k = 0; k < region.size(); ++k) {
-        raw_counts[region[k]] += estimates[c][k] * rescale;
-      }
-    }
-
-    if (options_.psda.enforce_consistency) {
-      PLDP_ASSIGN_OR_RETURN(
-          published_, EnforceConsistency(*taxonomy_, raw_counts, groups_));
-    } else {
-      published_ = std::move(raw_counts);
-    }
-    const double global_rescale = static_cast<double>(cohort_size_) /
-                                  static_cast<double>(specs_.size());
-    if (global_rescale != 1.0) {
-      for (double& v : published_) v *= global_rescale;
-    }
-  }
+  PLDP_ASSIGN_OR_RETURN(PsdaResult result, epoch_.Publish());
+  published_ = std::move(result.counts);
+  cluster_response_ = std::move(result.cluster_response);
+  stats_.reports_folded = epoch_.folded();
   phase_ = Phase::kPublished;
 
   auto& registry = obs::MetricsRegistry::Global();
@@ -424,43 +214,22 @@ Status EpochEngine::Checkpoint() {
     return Status::FailedPrecondition(
         "nothing to checkpoint before the spec seal");
   }
-  FoldStagedLocked();
-  return SaveSnapshotLocked();
+  return CheckpointLocked();
 }
 
-Status EpochEngine::SaveSnapshotLocked() {
-  EpochCheckpoint snapshot;
-  snapshot.epoch = options_.epoch;
-  snapshot.psda_seed = options_.psda.seed;
-  snapshot.beta = options_.psda.beta;
-  snapshot.cohort_size = cohort_size_;
-  snapshot.specs = specs_;
-  snapshot.roster = roster_;
-  snapshot.dedup_words.assign((cohort_size_ + 63) / 64, 0);
-  uint64_t folded = 0;
-  for (size_t k = 0; k < slots_.size(); ++k) {
-    const SlotState state = slots_[k].state;
-    if (state == SlotState::kFolded || state == SlotState::kRestored) {
-      const uint64_t user = roster_[k];
-      snapshot.dedup_words[user / 64] |= uint64_t{1} << (user % 64);
-      ++folded;
-    }
-  }
-  snapshot.ingested = folded;
-  snapshot.clusters.reserve(accumulators_.size());
-  for (const ClusterAccumulator& acc : accumulators_) {
-    snapshot.clusters.push_back(acc.Snapshot());
-  }
+Status EpochEngine::CheckpointLocked() {
+  epoch_.Fold();
+  stats_.reports_folded = epoch_.folded();
   CheckpointStore store(options_.checkpoint.dir, options_.checkpoint.keep);
-  PLDP_RETURN_IF_ERROR(store.Save(snapshot));
+  PLDP_RETURN_IF_ERROR(store.Save(epoch_.Snapshot()));
   ++stats_.checkpoints_written;
 
   auto& registry = obs::MetricsRegistry::Global();
   static obs::Counter* checkpoints = registry.GetCounter("net.checkpoints");
   checkpoints->Increment();
-  obs::FlightRecorder::Global().Record(obs::FlightEventType::kCheckpoint,
-                                       "checkpoint.write", folded,
-                                       stats_.checkpoints_written);
+  obs::FlightRecorder::Global().Record(
+      obs::FlightEventType::kCheckpoint, "checkpoint.write",
+      epoch_.restored() + epoch_.folded(), stats_.checkpoints_written);
   return Status::OK();
 }
 
@@ -478,66 +247,10 @@ Status EpochEngine::RestoreLatest() {
   CheckpointStore store(options_.checkpoint.dir, options_.checkpoint.keep);
   PLDP_ASSIGN_OR_RETURN(const EpochCheckpoint checkpoint,
                         store.RestoreLatest());
-  // The snapshot must describe *this* configuration — same refusal matrix as
-  // AggregationServer::ResumeEpoch.
-  if (checkpoint.epoch != options_.epoch) {
-    return Status::FailedPrecondition(
-        "checkpoint is for epoch " + std::to_string(checkpoint.epoch) +
-        ", not epoch " + std::to_string(options_.epoch));
-  }
-  if (checkpoint.psda_seed != options_.psda.seed) {
-    return Status::FailedPrecondition(
-        "checkpoint was taken under a different protocol seed");
-  }
-  if (checkpoint.beta != options_.psda.beta) {
-    return Status::FailedPrecondition(
-        "checkpoint was taken under a different confidence level beta");
-  }
-  if (checkpoint.specs.size() != checkpoint.roster.size() ||
-      checkpoint.specs.empty()) {
-    return Status::FailedPrecondition("checkpoint roster/spec mismatch");
-  }
-  specs_ = checkpoint.specs;
-  roster_ = checkpoint.roster;
-  cohort_size_ = checkpoint.cohort_size;
-  for (size_t k = 0; k < roster_.size(); ++k) {
-    if (roster_[k] >= cohort_size_ ||
-        (k > 0 && roster_[k] <= roster_[k - 1])) {
-      return Status::FailedPrecondition(
-          "checkpoint roster is not a sorted cohort subset");
-    }
-  }
-  PLDP_RETURN_IF_ERROR(BuildClustersLocked());
-  if (checkpoint.clusters.size() != accumulators_.size()) {
-    return Status::FailedPrecondition(
-        "checkpoint has " + std::to_string(checkpoint.clusters.size()) +
-        " clusters, this configuration builds " +
-        std::to_string(accumulators_.size()));
-  }
-  for (size_t c = 0; c < accumulators_.size(); ++c) {
-    PLDP_RETURN_IF_ERROR(accumulators_[c].Restore(checkpoint.clusters[c]));
-  }
-  if (checkpoint.dedup_words.size() != (cohort_size_ + 63) / 64) {
-    return Status::FailedPrecondition("checkpoint dedup word count mismatch");
-  }
-  uint64_t restored = 0;
-  for (size_t w = 0; w < checkpoint.dedup_words.size(); ++w) {
-    uint64_t word = checkpoint.dedup_words[w];
-    while (word != 0) {
-      const int bit = __builtin_ctzll(word);
-      word &= word - 1;
-      const uint64_t user = w * 64 + static_cast<uint64_t>(bit);
-      const auto it = slot_of_user_.find(user);
-      if (it == slot_of_user_.end()) {
-        return Status::FailedPrecondition(
-            "checkpoint dedup bit set for user " + std::to_string(user) +
-            " outside the roster");
-      }
-      slots_[it->second].state = SlotState::kRestored;
-      ++restored;
-    }
-  }
-  stats_.restored_reports = restored;
+  // The daemon has no cohort of its own before the seal: it resumes the
+  // snapshot's.
+  PLDP_RETURN_IF_ERROR(epoch_.Restore(checkpoint, checkpoint.cohort_size));
+  stats_.restored_reports = epoch_.restored();
   phase_ = Phase::kCollectingReports;
 
   auto& registry = obs::MetricsRegistry::Global();
@@ -545,9 +258,9 @@ Status EpochEngine::RestoreLatest() {
   static obs::Counter* restored_reports =
       registry.GetCounter("net.restored_reports");
   restores->Increment();
-  restored_reports->Increment(restored);
+  restored_reports->Increment(epoch_.restored());
   obs::FlightRecorder::Global().Record(obs::FlightEventType::kPhase,
-                                       "phase.restored", restored);
+                                       "phase.restored", epoch_.restored());
   return Status::OK();
 }
 
@@ -569,18 +282,18 @@ NetEpochStats EpochEngine::stats() const {
 
 uint64_t EpochEngine::num_clusters() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return accumulators_.size();
+  return epoch_.num_clusters();
 }
 
 uint64_t EpochEngine::spec_responders() const {
   std::lock_guard<std::mutex> lock(mu_);
   return phase_ == Phase::kCollectingSpecs ? pending_specs_.size()
-                                           : specs_.size();
+                                           : epoch_.roster().size();
 }
 
 uint64_t EpochEngine::cohort_size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return cohort_size_;
+  return epoch_.cohort_size();
 }
 
 EpochEngine::StatusView EpochEngine::StatusSnapshot() const {
@@ -588,11 +301,11 @@ EpochEngine::StatusView EpochEngine::StatusSnapshot() const {
   StatusView view;
   view.phase = phase_;
   view.stats = stats_;
-  view.num_clusters = accumulators_.size();
+  view.num_clusters = epoch_.num_clusters();
   view.spec_responders = phase_ == Phase::kCollectingSpecs
                              ? pending_specs_.size()
-                             : specs_.size();
-  view.cohort_size = cohort_size_;
+                             : epoch_.roster().size();
+  view.cohort_size = epoch_.cohort_size();
   view.published_cells = published_.size();
   return view;
 }

@@ -6,9 +6,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "core/clustering.h"
 #include "core/psda.h"
-#include "core/user_group.h"
 #include "geo/taxonomy.h"
 #include "net/wire.h"
 #include "protocol/accumulator.h"
@@ -75,22 +73,14 @@ enum class SpecOutcome : uint8_t {
 /// The server-side brain of the aggregation daemon: one epoch of Algorithm 4
 /// driven by decoded wire frames instead of in-process exchanges.
 ///
-/// The engine replicates AggregationServer::Execute bit for bit on the clean
-/// path. Everything order-sensitive is derived in *roster order* (ascending
-/// user id), never in frame-arrival order:
-///
-///  - grouping, clustering, and the per-cluster PCEP seed schedule are the
-///    same deterministic functions of the registered specs;
-///  - row assignments replay the per-cluster assignment RNG over the roster
-///    exactly as the in-process ingest loop does;
-///  - reports are *staged* on arrival (O(1) per report) and folded into the
-///    per-cluster O(m) accumulators in canonical roster order at seal time,
-///    because floating-point accumulation order is part of the determinism
-///    contract (docs/performance.md) and socket arrival order is not
-///    deterministic.
-///
-/// A SealEpoch over the same report multiset therefore publishes estimates
-/// bit-identical to RunEpoch over the same cohort (regression-tested in
+/// The engine is a frame adapter around the EpochAccumulator that
+/// AggregationServer::Execute also drives (protocol/accumulator.h): it keeps
+/// the phase, the wire verdicts, the lock, metrics and flight-recorder
+/// events, and delegates the plan, the row assignments, staging, the fold,
+/// snapshots and publish. Reports are staged on arrival (O(1) per report)
+/// and folded in canonical roster order at seal time, so a SealEpoch over
+/// the same report multiset publishes estimates bit-identical to RunEpoch
+/// over the same cohort, whatever the arrival order (regression-tested in
 /// tests/net_epoch_engine_test.cc). Runs that checkpoint mid-epoch and
 /// resume fold in more than one batch, which reassociates sums: those
 /// publish within the Theorem 4.5 envelope instead (same contract as chaos
@@ -115,8 +105,8 @@ class EpochEngine {
   /// Registers one user's public spec (phase kCollectingSpecs only).
   SpecOutcome RegisterSpec(uint64_t user_id, const SpecUploadMsg& msg);
 
-  /// Ends the spec phase: sorts the roster, builds groups/clusters/
-  /// accumulators, and precomputes every row assignment. `cohort_size` is
+  /// Ends the spec phase: sorts the roster and seals the epoch (groups,
+  /// clusters, accumulators, every row assignment). `cohort_size` is
   /// the full population (registered users must have ids below it); the
   /// publish-time global rescale is cohort_size / responders, matching the
   /// in-process spec-dropout compensation.
@@ -130,10 +120,8 @@ class EpochEngine {
   /// outcome is the wire-level verdict carried in kReportAck.
   ReportOutcome SubmitReport(uint64_t user_id, const ReportMsg& msg);
 
-  /// Folds all staged reports (canonical order, parallel over clusters on
-  /// the shared thread pool), writes the final checkpoint when configured,
-  /// decodes every cluster, applies consistency post-processing and the
-  /// global rescale, and publishes.
+  /// Folds all staged reports, writes the final checkpoint when configured,
+  /// and publishes (EpochAccumulator::Publish).
   Status SealEpoch();
 
   /// Folds what has been staged so far and writes a durable snapshot (the
@@ -141,10 +129,11 @@ class EpochEngine {
   /// InvalidArgument when checkpointing is disabled.
   Status Checkpoint();
 
-  /// Restores a sealed-spec epoch from the newest loadable snapshot. Must be
-  /// called on a fresh engine (no specs registered); after it returns the
-  /// engine is in kCollectingReports with the snapshot's reports already
-  /// folded and deduplicated.
+  /// Restores a sealed-spec epoch from the newest loadable snapshot, which
+  /// also sets the cohort size. Must be called on a fresh engine (no specs
+  /// registered); after it returns the engine is in kCollectingReports with
+  /// the snapshot's reports already folded and deduplicated. Refuses a
+  /// snapshot as EpochAccumulator::Restore does.
   Status RestoreLatest();
 
   /// Published per-cell estimates; empty before SealEpoch.
@@ -172,39 +161,9 @@ class EpochEngine {
   StatusView StatusSnapshot() const;
 
  private:
-  /// How one roster slot's report stands. A slot leaves kStaged for kFolded
-  /// exactly once, so a second fold pass never double-counts.
-  enum class SlotState : uint8_t {
-    kNone = 0,
-    kStaged = 1,
-    kShed = 2,
-    kFolded = 3,
-    /// Folded by a restored checkpoint, not by this process.
-    kRestored = 4,
-  };
+  /// Folds what is staged and writes a durable snapshot; caller holds mu_.
+  Status CheckpointLocked();
 
-  struct Slot {
-    SlotState state = SlotState::kNone;
-    bool positive = false;
-  };
-
-  struct RowAssignment {
-    uint32_t cluster = 0;
-    uint64_t row = 0;
-  };
-
-  /// Rebuilds groups/clusters/accumulators/assignments from specs_/roster_.
-  /// Shared by SealSpecs and RestoreLatest; caller holds mu_.
-  Status BuildClustersLocked();
-
-  /// Folds staged reports into the accumulators in canonical order; caller
-  /// holds mu_.
-  void FoldStagedLocked();
-
-  /// Serializes the current accumulator state; caller holds mu_.
-  Status SaveSnapshotLocked();
-
-  const SpatialTaxonomy* taxonomy_;
   EpochEngineOptions options_;
 
   mutable std::mutex mu_;
@@ -214,27 +173,8 @@ class EpochEngine {
   /// Spec phase: user id -> spec, arrival order irrelevant.
   std::unordered_map<uint64_t, PrivacySpec> pending_specs_;
 
-  /// Sealed roster, ascending user id; specs_[k] belongs to roster_[k].
-  std::vector<PrivacySpec> specs_;
-  std::vector<uint32_t> roster_;
-  uint64_t cohort_size_ = 0;
-
-  std::vector<UserGroup> groups_;
-  ClusteringResult clustering_;
-  double beta_each_ = 0.0;
-  std::vector<std::vector<CellId>> regions_;
-  std::vector<ClusterAccumulator> accumulators_;
-
-  /// Per roster slot: assignment + staging state.
-  std::vector<RowAssignment> assignments_;
-  std::vector<Slot> slots_;
-  /// user id -> roster slot.
-  std::unordered_map<uint64_t, uint32_t> slot_of_user_;
-  /// Per cluster: roster slots in the in-process ingest iteration order
-  /// (groups within the cluster, members within the group).
-  std::vector<std::vector<uint32_t>> cluster_order_;
-
-  AdmissionController admission_{AdmissionConfig{}};
+  /// Everything from the spec seal to publish.
+  EpochAccumulator epoch_;
 
   std::vector<double> published_;
   std::vector<ClusterResponseStats> cluster_response_;

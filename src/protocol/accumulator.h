@@ -2,11 +2,14 @@
 #define PLDP_PROTOCOL_ACCUMULATOR_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/pcep.h"
+#include "core/psda.h"
 #include "geo/taxonomy.h"
-#include "util/bit_vector.h"
+#include "protocol/checkpoint.h"
+#include "protocol/messages.h"
 #include "util/status_or.h"
 
 namespace pldp {
@@ -67,25 +70,6 @@ class AdmissionController {
   uint64_t shed_ = 0;
 };
 
-/// Checkpointable state of one cluster's accumulator; the payload the
-/// checkpoint subsystem serializes per cluster (protocol/checkpoint.h).
-struct ClusterAccumulatorState {
-  uint32_t cluster_index = 0;
-  NodeId region = kInvalidNode;
-  uint64_t tau_size = 0;
-  uint64_t n_expected = 0;
-  uint64_t m = 0;
-  uint64_t num_reports = 0;
-  uint64_t n_responded = 0;
-  uint64_t n_shed = 0;
-  double varsigma_responded = 0.0;
-  /// Sparse accumulator snapshot: touched rows in first-touch order with
-  /// their current sums. Order matters — decode streams rows in touch order,
-  /// and restoring it exactly keeps recovery bit-identical.
-  std::vector<uint64_t> touched_rows;
-  std::vector<double> touched_values;
-};
-
 /// One cluster's streaming ingest state: the PCEP accumulator z (O(m)
 /// memory) plus response accounting. Reports are folded in one at a time;
 /// nothing about the cohort is materialized.
@@ -106,7 +90,7 @@ class ClusterAccumulator {
   const PcepServer& pcep() const { return pcep_; }
 
   /// Folds one sanitized report into z. The caller is responsible for
-  /// epoch-level duplicate suppression (EpochAccumulator::IngestReport).
+  /// epoch-level duplicate suppression (EpochAccumulator).
   void IngestReport(uint64_t row, double value, double varsigma_term);
 
   /// Books one report shed by admission control (never exchanged, never
@@ -140,59 +124,133 @@ class ClusterAccumulator {
   double varsigma_responded_ = 0.0;
 };
 
-/// The server's whole-epoch ingest state: one ClusterAccumulator per
-/// cluster, a cohort-wide dedup bitset (one bit per roster position, so
-/// duplicate suppression survives serialization at n/8 bytes), and the
-/// admission controller. This is the unit the checkpoint subsystem
-/// snapshots and restores: a restart that reloads an EpochAccumulator can
-/// never double-count a report, because every accumulated user's bit
-/// travels with the accumulator sums.
+/// One epoch of Algorithm 4 from the spec seal to publish, shared by the
+/// in-process AggregationServer and the net daemon's EpochEngine: the spec
+/// acceptance rule, the ascending roster and the seal (PlanEpoch), one
+/// ClusterAccumulator per cluster, every user's row assignment, per-slot
+/// admission, staging and dedup, the canonical fold, snapshot and restore,
+/// and publish (PublishEpoch).
+///
+/// A slot is a roster position: slot k belongs to user roster()[k]. Reports
+/// are staged per slot and folded into the cluster accumulators in canonical
+/// order — each cluster's groups in cluster order, then each group's
+/// members — never in arrival order, because floating-point accumulation
+/// order is part of the determinism contract. A caller that stages in canonical order (the in-process server)
+/// therefore folds the same sums whether it folds once or at every
+/// checkpoint; one that stages in arrival order (the daemon) gets the same
+/// bits from one fold over the same reports.
+///
+/// This is the unit the checkpoint subsystem snapshots and restores: every
+/// folded report's dedup bit travels with the accumulator sums, so a restart
+/// can never double-count a report. Not thread-safe; the daemon serializes
+/// calls under its own lock.
 class EpochAccumulator {
  public:
-  EpochAccumulator(uint64_t cohort_size, const AdmissionConfig& admission);
+  enum class Verdict : uint8_t { kAccepted, kDuplicate, kShed };
 
-  Status AddCluster(uint32_t cluster_index, NodeId region, uint64_t tau_size,
-                    uint64_t n_expected, const PcepParams& params);
+  /// `taxonomy` must outlive the accumulator. `psda` fixes the plan and the
+  /// checkpoint identity together with `epoch`.
+  EpochAccumulator(const SpatialTaxonomy* taxonomy, const PsdaOptions& psda,
+                   uint64_t epoch, const AdmissionConfig& admission);
 
-  size_t num_clusters() const { return clusters_.size(); }
-  ClusterAccumulator& cluster(size_t i) { return clusters_[i]; }
-  const ClusterAccumulator& cluster(size_t i) const { return clusters_[i]; }
-  const AdmissionController& admission() const { return admission_; }
+  /// The spec acceptance rule. A spec that fails validation must not poison
+  /// the grouping, and an epsilon whose debiasing constant c_eps is not
+  /// finite (a bit-flipped upload can be finite yet outside c_eps's range)
+  /// would turn every count of its cluster into NaN.
+  Status AcceptSpec(const PrivacySpec& spec) const;
+
+  /// Ends the spec phase, replacing any earlier state: `roster` lists the
+  /// registered user ids, strictly ascending and below `cohort_size`
+  /// (InvalidArgument otherwise); `specs[k]` is roster[k]'s accepted spec.
+  /// Groups the specs, plans the epoch, builds the accumulators, and replays
+  /// each cluster's row-assignment stream over its slots in canonical order.
+  Status Seal(std::vector<uint32_t> roster, std::vector<PrivacySpec> specs,
+              uint64_t cohort_size);
+
+  /// Replaces this accumulator's state with a snapshot. Refuses with
+  /// FailedPrecondition a snapshot of another epoch, seed, beta or cohort
+  /// size, a roster that is not strictly ascending inside the cohort, a spec
+  /// the acceptance rule refuses, a cluster count this configuration does
+  /// not build, and dedup words that do not name roster members; a cluster
+  /// snapshot that does not fit its accumulator fails as
+  /// ClusterAccumulator::Restore does.
+  Status Restore(const EpochCheckpoint& checkpoint, uint64_t cohort_size);
+
+  /// The folded state as a durable snapshot; staged reports are not in it.
+  EpochCheckpoint Snapshot() const;
+
   uint64_t cohort_size() const { return cohort_size_; }
+  const std::vector<uint32_t>& roster() const { return roster_; }
+  const std::vector<UserGroup>& groups() const { return groups_; }
+  const EpochPlan& plan() const { return plan_; }
+  size_t num_clusters() const { return clusters_.size(); }
+  const ClusterAccumulator& cluster(size_t c) const { return clusters_[c]; }
+  const AdmissionController& admission() const { return admission_; }
 
-  /// True when `user_index`'s report is already folded into some cluster
-  /// (either in this process or in a restored checkpoint).
-  bool Seen(uint64_t user_index) const;
+  /// The slot of `user`, or nullopt when the user is not in the roster.
+  std::optional<uint32_t> SlotOf(uint64_t user) const;
 
-  enum class IngestResult { kAccepted, kDuplicate };
+  /// The row assignment the slot's user perturbs against.
+  RowAssignmentMsg Assignment(uint32_t slot) const;
 
-  /// Streams one user's sanitized report into their cluster. Duplicate
-  /// suppression is exact: the second and later calls for the same user are
-  /// rejected without touching z.
-  IngestResult IngestReport(size_t cluster_index, uint64_t user_index,
-                            uint64_t row, double value, double varsigma_term);
+  /// True when the slot's report is already restored, staged or folded, or
+  /// was shed.
+  bool Seen(uint32_t slot) const;
 
-  /// Admission decision for the next report of `cluster_index`. A shed
-  /// report is counted against the cluster and the ingest.shed metric.
-  bool AdmitOrShed(size_t cluster_index);
+  /// Decides a slot's report before it is exchanged. kDuplicate: the slot is
+  /// Seen and nothing changes. kShed: admission control refused it, and the
+  /// shed is booked against the slot's cluster. kAccepted: stage the report
+  /// once it arrives.
+  Verdict Admit(uint32_t slot);
 
-  /// Total reports accepted across clusters (checkpoint cadence and chaos
-  /// crash points count these).
-  uint64_t total_ingested() const { return total_ingested_; }
+  /// Stages an admitted slot's report for the next fold.
+  void Stage(uint32_t slot, bool positive);
 
-  /// Dedup bitset words (cohort_size bits), for checkpointing.
-  std::vector<uint64_t> DedupWords() const;
+  /// Folds every staged report (magnitude c_eps * sqrt(m)), in parallel over
+  /// clusters on the shared pool.
+  void Fold();
 
-  /// Restores the dedup bitset from checkpoint words; rejects word counts
-  /// that do not match the cohort and stray bits past cohort_size.
-  Status RestoreDedup(const std::vector<uint64_t>& words);
+  /// Reports restored, staged or folded (the checkpoint cadence and the
+  /// chaos crash points count these).
+  uint64_t total_ingested() const { return restored_ + staged_ + folded_; }
+  uint64_t restored() const { return restored_; }
+  uint64_t folded() const { return folded_; }
+
+  /// Folds, decodes every cluster in parallel, and publishes.
+  StatusOr<PsdaResult> Publish();
 
  private:
-  uint64_t cohort_size_;
+  enum class SlotState : uint8_t {
+    kNone = 0,
+    kStaged = 1,
+    kShed = 2,
+    kFolded = 3,
+    /// Folded by a restored checkpoint, not by this process.
+    kRestored = 4,
+  };
+
+  struct Slot {
+    uint64_t row = 0;
+    uint32_t cluster = 0;
+    SlotState state = SlotState::kNone;
+    bool positive = false;
+  };
+
+  const SpatialTaxonomy* taxonomy_;
+  PsdaOptions psda_;
+  uint64_t epoch_;
   AdmissionController admission_;
+
+  uint64_t cohort_size_ = 0;
+  std::vector<uint32_t> roster_;
+  std::vector<PrivacySpec> specs_;
+  std::vector<UserGroup> groups_;
+  EpochPlan plan_;
   std::vector<ClusterAccumulator> clusters_;
-  BitVector reported_;
-  uint64_t total_ingested_ = 0;
+  std::vector<Slot> slots_;
+  uint64_t restored_ = 0;
+  uint64_t staged_ = 0;
+  uint64_t folded_ = 0;
 };
 
 }  // namespace pldp

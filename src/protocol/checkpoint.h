@@ -6,10 +6,29 @@
 #include <vector>
 
 #include "core/privacy_spec.h"
-#include "protocol/accumulator.h"
+#include "geo/taxonomy.h"
 #include "util/status_or.h"
 
 namespace pldp {
+
+/// Checkpointable state of one cluster's accumulator
+/// (protocol/accumulator.h); the payload serialized per cluster.
+struct ClusterAccumulatorState {
+  uint32_t cluster_index = 0;
+  NodeId region = kInvalidNode;
+  uint64_t tau_size = 0;
+  uint64_t n_expected = 0;
+  uint64_t m = 0;
+  uint64_t num_reports = 0;
+  uint64_t n_responded = 0;
+  uint64_t n_shed = 0;
+  double varsigma_responded = 0.0;
+  /// Sparse accumulator snapshot: touched rows in first-touch order with
+  /// their current sums. Order matters — decode streams rows in touch order,
+  /// and restoring it exactly keeps recovery bit-identical.
+  std::vector<uint64_t> touched_rows;
+  std::vector<double> touched_values;
+};
 
 /// Durable snapshot of one in-flight aggregation epoch: everything the
 /// server needs to resume collection after a crash without re-running the
@@ -39,8 +58,8 @@ struct EpochCheckpoint {
   std::vector<PrivacySpec> specs;
   std::vector<uint32_t> roster;
 
-  /// Epoch-wide dedup bitset (cohort_size bits packed into words): which
-  /// roster positions' reports are already folded into the accumulators.
+  /// Epoch-wide dedup bitset (cohort_size bits packed into words, bit u for
+  /// user id u): whose reports are already folded into the accumulators.
   std::vector<uint64_t> dedup_words;
 
   /// Per-cluster accumulator snapshots, in cluster order.

@@ -1,13 +1,9 @@
 #include "protocol/server.h"
 
 #include <algorithm>
-#include <cmath>
 #include <optional>
 #include <utility>
 
-#include "core/consistency.h"
-#include "core/error_model.h"
-#include "core/user_group.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "protocol/messages.h"
@@ -16,12 +12,6 @@
 #include "util/stopwatch.h"
 
 namespace pldp {
-
-bool operator==(const ClusterResponseStats& a, const ClusterResponseStats& b) {
-  return a.cluster_index == b.cluster_index && a.n_expected == b.n_expected &&
-         a.n_responded == b.n_responded && a.n_shed == b.n_shed &&
-         a.response_rate == b.response_rate && a.error_bound == b.error_bound;
-}
 
 bool operator==(const ProtocolStats& a, const ProtocolStats& b) {
   return a.bytes_to_clients == b.bytes_to_clients &&
@@ -161,28 +151,6 @@ StatusOr<PsdaResult> AggregationServer::ResumeEpoch(
   CheckpointStore store(run.checkpoint.dir, run.checkpoint.keep);
   PLDP_ASSIGN_OR_RETURN(const EpochCheckpoint checkpoint,
                         store.RestoreLatest());
-  // The snapshot must describe *this* configuration: a checkpoint from a
-  // different epoch, seed, confidence level, or cohort would replay into
-  // mismatched clusters and silently publish garbage.
-  if (checkpoint.epoch != run.epoch) {
-    return Status::FailedPrecondition(
-        "checkpoint is for epoch " + std::to_string(checkpoint.epoch) +
-        ", not epoch " + std::to_string(run.epoch));
-  }
-  if (checkpoint.psda_seed != options_.seed) {
-    return Status::FailedPrecondition(
-        "checkpoint was taken under a different protocol seed");
-  }
-  if (checkpoint.beta != options_.beta) {
-    return Status::FailedPrecondition(
-        "checkpoint was taken under a different confidence level beta");
-  }
-  if (checkpoint.cohort_size != clients->size()) {
-    return Status::FailedPrecondition(
-        "checkpoint cohort size " + std::to_string(checkpoint.cohort_size) +
-        " does not match the " + std::to_string(clients->size()) +
-        " connected clients");
-  }
   const double restore_ms = timer.ElapsedSeconds() * 1000.0;
   return Execute(clients, run, &checkpoint, restore_ms, stats);
 }
@@ -215,24 +183,23 @@ StatusOr<PsdaResult> AggregationServer::Execute(
         attempt, retry_policy_.jitter, &backoff_rng);
   };
 
-  // Algorithm 4, lines 1-3: collect the public specifications. Under fault
-  // injection an upload can be lost or mangled; the server re-polls up to the
-  // retry budget and excludes the client from the run when it is exhausted
-  // (utility loss only; the client simply did not participate).
-  //
-  // On a resume the spec phase is skipped entirely: the roster is part of
-  // the snapshot, and grouping/clustering below are deterministic functions
-  // of it, so the recovered run rebuilds the exact cluster layout the
-  // crashed run was accumulating into.
-  std::vector<PrivacySpec> specs;
-  std::vector<uint32_t> roster;  // specs[k] came from (*clients)[roster[k]]
+  EpochAccumulator epoch(taxonomy_, options_, run.epoch, run.admission);
   if (restored != nullptr) {
-    specs = restored->specs;
-    roster = restored->roster;
-    local_stats.restored_reports = restored->ingested;
+    // On a resume the spec phase is skipped entirely: the roster is part of
+    // the snapshot, and the plan is a deterministic function of it, so the
+    // recovered run rebuilds the exact cluster layout the crashed run was
+    // accumulating into.
+    PLDP_RETURN_IF_ERROR(epoch.Restore(*restored, clients->size()));
+    local_stats.restored_reports = epoch.restored();
     local_stats.recovery_ms = restore_ms;
   } else {
+    // Algorithm 4, lines 1-3: collect the public specifications. Under fault
+    // injection an upload can be lost or mangled; the server re-polls up to
+    // the retry budget and excludes the client from the run when it is
+    // exhausted (utility loss only; the client simply did not participate).
     phase_span.emplace("protocol.spec_phase");
+    std::vector<PrivacySpec> specs;
+    std::vector<uint32_t> roster;  // specs[k] came from (*clients)[roster[k]]
     specs.reserve(clients->size());
     roster.reserve(clients->size());
     for (uint32_t i = 0; i < clients->size(); ++i) {
@@ -259,14 +226,9 @@ StatusOr<PsdaResult> AggregationServer::Execute(
           continue;
         }
         const PrivacySpec spec{msg->safe_region, msg->epsilon};
-        // A corrupted upload can still parse; a bogus spec must not poison the
-        // grouping, so it is treated exactly like a parse failure. The second
-        // check guards the estimator arithmetic: a bit-flipped epsilon can be
-        // finite yet outside the range where c_eps = (e^eps+1)/(e^eps-1) is
-        // representable, and one non-finite magnitude would turn every count
-        // in the cluster into NaN.
-        if (!ValidatePrivacySpec(*taxonomy_, spec).ok() ||
-            !std::isfinite(CEpsilon(spec.epsilon))) {
+        // A corrupted upload can still parse; a spec the acceptance rule
+        // refuses is treated exactly like a parse failure.
+        if (!epoch.AcceptSpec(spec).ok()) {
           ++local_stats.corrupt_parses;
           continue;
         }
@@ -282,114 +244,38 @@ StatusOr<PsdaResult> AggregationServer::Execute(
       }
     }
     phase_span.reset();
-  }
-  local_stats.spec_responders = specs.size();
-  if (specs.empty()) {
-    return Status::DeadlineExceeded(
-        "every client dropped out during spec collection");
-  }
-
-  // Line 4: group by safe region (public data only).
-  PLDP_ASSIGN_OR_RETURN(std::vector<UserGroup> groups,
-                        GroupSpecsBySafeRegion(*taxonomy_, specs));
-
-  // Line 5: cluster the groups.
-  ClusteringOptions cluster_options;
-  cluster_options.beta = options_.beta;
-  PLDP_ASSIGN_OR_RETURN(
-      ClusteringResult clustering,
-      options_.enable_clustering
-          ? ClusterUserGroups(*taxonomy_, groups, cluster_options)
-          : TrivialClusters(*taxonomy_, groups, cluster_options));
-
-  // Streaming ingest state: one O(m) accumulator per cluster behind a
-  // cohort-wide dedup bitset. Nothing about the cohort is ever materialized;
-  // a report is folded into z the moment its exchange completes.
-  const double beta_each =
-      options_.beta / static_cast<double>(clustering.clusters.size());
-  EpochAccumulator epoch(clients->size(), run.admission);
-  std::vector<std::vector<CellId>> regions;
-  regions.reserve(clustering.clusters.size());
-  for (size_t c = 0; c < clustering.clusters.size(); ++c) {
-    const Cluster& cluster = clustering.clusters[c];
-    regions.push_back(taxonomy_->RegionCells(cluster.top_region));
-
-    PcepParams params;
-    params.beta = beta_each;
-    params.seed =
-        SplitMix64(options_.seed ^ ((c + 1) * 0x9E3779B97F4A7C15ULL));
-    params.max_reduced_dimension = options_.max_reduced_dimension;
-
-    uint64_t cluster_n = 0;
-    for (const uint32_t g : cluster.groups) cluster_n += groups[g].n();
-    PLDP_RETURN_IF_ERROR(epoch.AddCluster(static_cast<uint32_t>(c),
-                                          cluster.top_region,
-                                          regions.back().size(), cluster_n,
-                                          params));
-  }
-
-  if (restored != nullptr) {
-    // Replay the snapshot into the freshly built accumulators. Every check
-    // here (and inside Restore) guards the invariant that a checkpoint that
-    // does not exactly describe this cluster layout is rejected before a
-    // single value is trusted.
-    if (restored->clusters.size() != epoch.num_clusters()) {
-      return Status::FailedPrecondition(
-          "checkpoint has " + std::to_string(restored->clusters.size()) +
-          " clusters, this configuration builds " +
-          std::to_string(epoch.num_clusters()));
+    if (specs.empty()) {
+      return Status::DeadlineExceeded(
+          "every client dropped out during spec collection");
     }
-    for (size_t c = 0; c < epoch.num_clusters(); ++c) {
-      PLDP_RETURN_IF_ERROR(epoch.cluster(c).Restore(restored->clusters[c]));
-    }
-    PLDP_RETURN_IF_ERROR(epoch.RestoreDedup(restored->dedup_words));
+    // Lines 4-5: group by safe region, cluster the groups, and plan one
+    // PCEP per cluster.
+    PLDP_RETURN_IF_ERROR(
+        epoch.Seal(std::move(roster), std::move(specs), clients->size()));
   }
+  local_stats.spec_responders = epoch.roster().size();
 
   // Durable snapshots: write-to-temp + atomic rename, numbered files, pruned
-  // past the retention limit. The snapshot captures specs + roster + dedup
-  // bitset + every accumulator, so a restart resumes mid-epoch without
-  // re-running the spec phase and without double-counting any report.
+  // past the retention limit. Everything staged is folded first, so the
+  // snapshot holds every report accepted so far.
   std::optional<CheckpointStore> store;
   if (run.checkpoint.enabled()) {
     store.emplace(run.checkpoint.dir, run.checkpoint.keep);
   }
   const auto save_snapshot = [&]() -> Status {
-    EpochCheckpoint snapshot;
-    snapshot.epoch = run.epoch;
-    snapshot.psda_seed = options_.seed;
-    snapshot.beta = options_.beta;
-    snapshot.cohort_size = clients->size();
-    snapshot.specs = specs;
-    snapshot.roster = roster;
-    snapshot.dedup_words = epoch.DedupWords();
-    snapshot.clusters.reserve(epoch.num_clusters());
-    for (size_t c = 0; c < epoch.num_clusters(); ++c) {
-      snapshot.clusters.push_back(epoch.cluster(c).Snapshot());
-    }
-    snapshot.ingested = epoch.total_ingested();
-    return store->Save(snapshot);
+    epoch.Fold();
+    return store->Save(epoch.Snapshot());
   };
 
-  // Lines 6-9: one message-level PCEP per cluster, streamed into the epoch
-  // accumulator.
+  // Lines 6-9: one message-level PCEP per cluster. The walk is the canonical
+  // order, so staging here and folding at each checkpoint and at publish
+  // adds every cluster's reports in the order they arrive.
   phase_span.emplace("protocol.pcep_phase");
-  for (size_t c = 0; c < clustering.clusters.size(); ++c) {
-    const Cluster& cluster = clustering.clusters[c];
-    ClusterAccumulator& acc = epoch.cluster(c);
-    const PcepSeeds seeds(
-        SplitMix64(options_.seed ^ ((c + 1) * 0x9E3779B97F4A7C15ULL)));
-    Rng row_rng(seeds.row_assignment);
-
-    for (const uint32_t g : cluster.groups) {
-      for (const uint32_t spec_index : groups[g].members) {
-        const uint32_t user_index = roster[spec_index];
-        DeviceClient& client = (*clients)[user_index];
-        // The row is always drawn, even for users whose report is already in
-        // a restored accumulator: the per-cluster assignment stream must
-        // replay identically for recovery to reproduce the original
-        // transcript byte for byte.
-        const uint64_t row = acc.pcep().AssignRow(&row_rng);
-        if (epoch.Seen(user_index)) {
+  const std::vector<Cluster>& clusters = epoch.plan().clustering.clusters;
+  for (size_t c = 0; c < clusters.size(); ++c) {
+    for (const uint32_t g : clusters[c].groups) {
+      for (const uint32_t slot : epoch.groups()[g].members) {
+        if (epoch.Seen(slot)) {
           continue;  // restored from the checkpoint; never re-exchanged
         }
         // Admission control: refuse the report before any exchange when the
@@ -397,17 +283,14 @@ StatusOr<PsdaResult> AggregationServer::Execute(
         // degradation — the cluster's rescaling treats it exactly like a
         // dropout, so accuracy degrades per the Theorem 4.5 error model
         // instead of the server falling over.
-        if (!epoch.AdmitOrShed(c)) {
+        if (epoch.Admit(slot) == EpochAccumulator::Verdict::kShed) {
           ++local_stats.shed_reports;
           continue;
         }
-
-        RowAssignmentMsg assignment;
-        assignment.region = cluster.top_region;
-        assignment.m = acc.pcep().m();
-        assignment.row_index = row;
-        assignment.row_bits = acc.pcep().sign_matrix().Row(row);
-        const std::vector<uint8_t> down_bytes = assignment.Serialize();
+        const uint32_t user_index = epoch.roster()[slot];
+        DeviceClient& client = (*clients)[user_index];
+        const std::vector<uint8_t> down_bytes =
+            epoch.Assignment(slot).Serialize();
 
         bool accumulated = false;
         bool refused = false;
@@ -459,21 +342,11 @@ StatusOr<PsdaResult> AggregationServer::Execute(
                 continue;
               }
               if (accumulated) {
-                // Dedup by (user, row): this user's bit is already in z.
+                // Dedup by (user, row): this user's report is already staged.
                 ++local_stats.duplicate_reports;
                 continue;
               }
-              const double magnitude =
-                  CEpsilon(specs[spec_index].epsilon) *
-                  std::sqrt(static_cast<double>(acc.pcep().m()));
-              if (epoch.IngestReport(
-                      c, user_index, row,
-                      report->positive ? magnitude : -magnitude,
-                      PrivacyFactorTerm(specs[spec_index].epsilon)) ==
-                  EpochAccumulator::IngestResult::kDuplicate) {
-                ++local_stats.duplicate_reports;
-                continue;
-              }
+              epoch.Stage(slot, report->positive);
               accumulated = true;
             }
           }
@@ -512,75 +385,13 @@ StatusOr<PsdaResult> AggregationServer::Execute(
     PLDP_RETURN_IF_ERROR(save_snapshot());
   }
 
-  // Lines 11-13: decode every cluster from its accumulator.
+  // Decode every cluster, combine, and enforce consistency (line 10).
   phase_span.emplace("protocol.decode_phase");
-  PsdaResult result;
-  result.raw_counts.assign(taxonomy_->grid().num_cells(), 0.0);
-  for (size_t c = 0; c < epoch.num_clusters(); ++c) {
-    const ClusterAccumulator& acc = epoch.cluster(c);
-    const std::vector<CellId>& region = regions[c];
-    const uint64_t cluster_n = acc.n_expected();
-    const uint64_t n_responded = acc.n_responded();
-
-    ClusterResponseStats response;
-    response.cluster_index = static_cast<uint32_t>(c);
-    response.n_expected = cluster_n;
-    response.n_responded = n_responded;
-    response.n_shed = acc.n_shed();
-    response.response_rate =
-        cluster_n == 0
-            ? 0.0
-            : static_cast<double>(n_responded) / static_cast<double>(cluster_n);
-    response.error_bound =
-        n_responded == 0
-            ? 0.0
-            : PcepErrorBound(beta_each, static_cast<double>(n_responded),
-                             static_cast<double>(region.size()),
-                             acc.varsigma_responded());
-    local_stats.cluster_response.push_back(response);
-
-    if (n_responded == 0) {
-      PLDP_LOG(Warning) << "cluster " << c
-                        << " received no reports; its region contributes 0";
-      continue;
-    }
-    // Missing-completely-at-random dropout — and admission shedding, which
-    // refuses reports independently of their content — thins every count by
-    // the response rate in expectation; rescaling by its inverse keeps the
-    // estimator unbiased (scale is exactly 1.0 when nobody dropped,
-    // preserving the reliable transcript bit-for-bit).
-    const double rescale = static_cast<double>(cluster_n) /
-                           static_cast<double>(n_responded);
-    const std::vector<double> estimates = acc.Estimate();
-    for (size_t k = 0; k < region.size(); ++k) {
-      result.raw_counts[region[k]] += estimates[k] * rescale;
-    }
-  }
+  PLDP_ASSIGN_OR_RETURN(PsdaResult result, epoch.Publish());
   phase_span.reset();
+  local_stats.global_rescale = result.global_rescale;
+  local_stats.cluster_response = result.cluster_response;
 
-  // Line 10: consistency post-processing on public constraints. Groups hold
-  // the spec responders, so the constraint totals match the rescaled
-  // per-cluster estimates.
-  if (options_.enforce_consistency) {
-    PLDP_ASSIGN_OR_RETURN(result.counts, EnforceConsistency(
-                                             *taxonomy_, result.raw_counts,
-                                             groups));
-  } else {
-    result.counts = result.raw_counts;
-  }
-
-  // Clients lost before registering a spec never joined any group; under
-  // MCAR dropout the responders are an unbiased sample of the cohort, so the
-  // full-population estimate is the responder estimate scaled up. Applied
-  // after consistency (which pins totals to the responder cohort).
-  local_stats.global_rescale = static_cast<double>(clients->size()) /
-                               static_cast<double>(specs.size());
-  if (local_stats.global_rescale != 1.0) {
-    for (double& v : result.raw_counts) v *= local_stats.global_rescale;
-    for (double& v : result.counts) v *= local_stats.global_rescale;
-  }
-
-  result.clustering = std::move(clustering);
   result.server_seconds = timer.ElapsedSeconds();
   PublishProtocolStats(local_stats);
   if (stats != nullptr) *stats = local_stats;

@@ -15,26 +15,6 @@
 
 namespace pldp {
 
-/// Per-cluster delivery accounting: how many of the cluster's users actually
-/// reported, and what the Theorem 4.5 bound predicts for the cohort that did.
-struct ClusterResponseStats {
-  uint32_t cluster_index = 0;
-  /// Users assigned to this cluster's PCEP (spec-phase responders).
-  uint64_t n_expected = 0;
-  /// Users whose sanitized report was received and accumulated.
-  uint64_t n_responded = 0;
-  /// Users refused by admission control before any exchange (graceful
-  /// degradation; compensated by the same rescaling as dropout).
-  uint64_t n_shed = 0;
-  double response_rate = 1.0;
-  /// err(beta_c, n_responded, |tau|, varsigma_responded): the Theorem 4.5
-  /// error model re-evaluated at the effective cohort, i.e. what the bound
-  /// guarantees *after* dropout.
-  double error_bound = 0.0;
-};
-
-bool operator==(const ClusterResponseStats& a, const ClusterResponseStats& b);
-
 /// Communication and degradation accounting for one protocol execution. The
 /// first block is byte-exact on the reliable path (identical to the original
 /// lossless simulation); the second block is only non-zero under fault
@@ -136,10 +116,11 @@ struct EpochRunOptions {
 /// response rate). With the default (fault-free) spec the channel is inactive
 /// and Collect is byte-identical to the lossless exchange.
 ///
-/// Ingest is streaming: reports fold one at a time into per-cluster
-/// accumulators (O(m) memory per cluster) behind a cohort-wide dedup bitset
-/// and optional admission control, and the whole epoch state can be
-/// checkpointed durably mid-flight and resumed after a crash without ever
+/// Ingest runs through an EpochAccumulator (protocol/accumulator.h), the
+/// same epoch state the net daemon drives: the server admits, exchanges and
+/// stages each user in canonical order, folds into the O(m) per-cluster
+/// accumulators at every checkpoint and at publish, and the whole epoch can
+/// be checkpointed durably mid-flight and resumed after a crash without ever
 /// double-counting a report (see docs/robustness.md).
 class AggregationServer {
  public:
@@ -179,7 +160,7 @@ class AggregationServer {
   /// devices answer the remaining exchanges from their cached reports, so on
   /// a clean channel the recovered estimates are bit-identical to an
   /// uninterrupted run. Fails FailedPrecondition when the snapshot does not
-  /// match this configuration (seed, beta, epoch, cohort size).
+  /// match this configuration (EpochAccumulator::Restore).
   StatusOr<PsdaResult> ResumeEpoch(std::vector<DeviceClient>* clients,
                                    const EpochRunOptions& run,
                                    ProtocolStats* stats) const;

@@ -1,8 +1,8 @@
 // EpochEngine regression suite: the frame-driven epoch must publish
-// estimates bit-identical to AggregationServer::Collect over the same
-// report multiset regardless of arrival order, and the late/duplicate/shed
-// verdicts must keep the published estimate unbiased (the satellite
-// contract of docs/service.md).
+// estimates and per-cluster accounting identical to
+// AggregationServer::Collect over the same report multiset regardless of
+// arrival order, and the late/duplicate/shed verdicts must keep the
+// published estimate unbiased (the satellite contract of docs/service.md).
 
 #include <algorithm>
 #include <cstdio>
@@ -132,6 +132,37 @@ TEST(NetEpochEngineTest, BitIdenticalToInProcessCollect) {
   ASSERT_EQ(via_net.size(), in_process.counts.size());
   for (size_t k = 0; k < via_net.size(); ++k) {
     EXPECT_EQ(via_net[k], in_process.counts[k]) << "cell " << k;
+  }
+}
+
+TEST(NetEpochEngineTest, ClusterResponseMatchesCollect) {
+  // Per-cluster accounting, Theorem 4.5 bound included, is the same on both
+  // paths over the same cohort.
+  const SpatialTaxonomy tax = MakeTaxonomy();
+  const size_t n = 1200;
+  const uint64_t seed = 64;
+  const Cohort cohort = MakeCohort(tax, n, seed);
+  PsdaOptions psda;
+  psda.seed = seed;
+  EpochEngineOptions options;
+  options.psda = psda;
+  EpochEngine engine(&tax, options);
+  std::vector<size_t> shuffled = Ascending(n);
+  std::mt19937_64 shuffle_rng(5);
+  std::shuffle(shuffled.begin(), shuffled.end(), shuffle_rng);
+  RunEngineEpoch(tax, cohort, seed, &engine, shuffled);
+
+  auto clients = MakeClients(tax, cohort, seed);
+  ProtocolStats stats;
+  AggregationServer server(&tax, psda);
+  ASSERT_TRUE(server.Collect(&clients, &stats).ok());
+
+  ASSERT_GT(stats.cluster_response.size(), 1u);
+  EXPECT_EQ(engine.num_clusters(), stats.cluster_response.size());
+  EXPECT_TRUE(engine.cluster_response() == stats.cluster_response);
+  for (const ClusterResponseStats& response : engine.cluster_response()) {
+    EXPECT_EQ(response.n_responded, response.n_expected);
+    EXPECT_GT(response.error_bound, 0.0);
   }
 }
 

@@ -1,14 +1,17 @@
 // Streaming epoch accumulators: admission-control determinism and shed
 // accounting, snapshot/restore round trips, rejection of corrupt snapshots,
-// and the dedup bitset that makes restarts double-count-proof.
+// and the per-slot dedup that makes restarts double-count-proof.
 
 #include <cmath>
+#include <map>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/pcep.h"
 #include "protocol/accumulator.h"
+#include "protocol/checkpoint.h"
 #include "util/random.h"
 
 namespace pldp {
@@ -148,82 +151,188 @@ TEST(ClusterAccumulatorTest, RestoreRejectsCorruptSnapshots) {
   EXPECT_TRUE(fresh().Restore(good).ok());
 }
 
-TEST(EpochAccumulatorTest, DuplicateSuppressionIsExact) {
-  EpochAccumulator epoch(100, AdmissionConfig{});
-  ASSERT_TRUE(epoch.AddCluster(0, NodeId{1}, 32, 100, SmallParams()).ok());
+SpatialTaxonomy SmallTaxonomy() {
+  const UniformGrid grid =
+      UniformGrid::Create(BoundingBox{0, 0, 8, 8}, 1, 1).value();
+  return SpatialTaxonomy::Build(grid, 4).value();
+}
 
-  EXPECT_FALSE(epoch.Seen(42));
-  EXPECT_EQ(epoch.IngestReport(0, 42, 3, 1.0, 0.5),
-            EpochAccumulator::IngestResult::kAccepted);
-  EXPECT_TRUE(epoch.Seen(42));
-  // The duplicate never reaches z.
-  EXPECT_EQ(epoch.IngestReport(0, 42, 5, -1.0, 0.5),
-            EpochAccumulator::IngestResult::kDuplicate);
+// Seals `epoch` over `users` (ascending ids inside a cohort of `cohort`).
+// User u declares the region one level above cell u, so the users spread
+// over several groups.
+Status SealUsers(const SpatialTaxonomy& tax, const std::vector<uint32_t>& users,
+                 uint64_t cohort, EpochAccumulator* epoch) {
+  std::vector<PrivacySpec> specs;
+  for (const uint32_t u : users) {
+    const auto cell = static_cast<CellId>(u % tax.grid().num_cells());
+    specs.push_back(PrivacySpec{tax.AncestorAbove(tax.LeafNodeOfCell(cell), 1),
+                                u % 2 == 0 ? 0.5 : 1.0});
+  }
+  return epoch->Seal(users, std::move(specs), cohort);
+}
+
+uint64_t TotalReports(const EpochAccumulator& epoch) {
+  uint64_t total = 0;
+  for (size_t c = 0; c < epoch.num_clusters(); ++c) {
+    EXPECT_EQ(epoch.cluster(c).n_responded(),
+              epoch.cluster(c).pcep().num_reports());
+    total += epoch.cluster(c).pcep().num_reports();
+  }
+  return total;
+}
+
+TEST(EpochAccumulatorTest, DuplicateSuppressionIsExact) {
+  const SpatialTaxonomy tax = SmallTaxonomy();
+  std::vector<uint32_t> users(100);
+  std::iota(users.begin(), users.end(), 0u);
+  EpochAccumulator epoch(&tax, PsdaOptions(), 0, AdmissionConfig{});
+  ASSERT_TRUE(SealUsers(tax, users, 100, &epoch).ok());
+
+  const uint32_t slot = epoch.SlotOf(42).value();
+  EXPECT_FALSE(epoch.Seen(slot));
+  ASSERT_EQ(epoch.Admit(slot), EpochAccumulator::Verdict::kAccepted);
+  epoch.Stage(slot, true);
+  EXPECT_TRUE(epoch.Seen(slot));
+  // The duplicate never reaches z, before or after the fold.
+  EXPECT_EQ(epoch.Admit(slot), EpochAccumulator::Verdict::kDuplicate);
+  epoch.Fold();
+  EXPECT_EQ(epoch.Admit(slot), EpochAccumulator::Verdict::kDuplicate);
+  epoch.Fold();  // a second fold finds nothing staged
   EXPECT_EQ(epoch.total_ingested(), 1u);
-  EXPECT_EQ(epoch.cluster(0).n_responded(), 1u);
-  EXPECT_EQ(epoch.cluster(0).pcep().num_reports(), 1u);
+  EXPECT_EQ(epoch.folded(), 1u);
+  EXPECT_EQ(TotalReports(epoch), 1u);
 }
 
 TEST(EpochAccumulatorTest, DedupBitsetSurvivesSerialization) {
-  EpochAccumulator epoch(130, AdmissionConfig{});
-  ASSERT_TRUE(epoch.AddCluster(0, NodeId{1}, 32, 130, SmallParams()).ok());
-  const std::vector<uint64_t> users = {0, 1, 63, 64, 65, 127, 128, 129};
-  for (uint64_t u : users) {
-    ASSERT_EQ(epoch.IngestReport(0, u, u % 7, 1.0, 0.5),
-              EpochAccumulator::IngestResult::kAccepted);
+  const SpatialTaxonomy tax = SmallTaxonomy();
+  const std::vector<uint32_t> roster = {0,  1,  2,  62,  63,  64, 65,
+                                        66, 126, 127, 128, 129};
+  const std::vector<uint32_t> reported = {0, 1, 63, 64, 65, 127, 128, 129};
+  EpochAccumulator epoch(&tax, PsdaOptions(), 7, AdmissionConfig{});
+  ASSERT_TRUE(SealUsers(tax, roster, 130, &epoch).ok());
+  for (const uint32_t u : reported) {
+    const uint32_t slot = epoch.SlotOf(u).value();
+    ASSERT_EQ(epoch.Admit(slot), EpochAccumulator::Verdict::kAccepted);
+    epoch.Stage(slot, u % 3 == 0);
   }
-  const std::vector<uint64_t> words = epoch.DedupWords();
+  epoch.Fold();
+  const StatusOr<EpochCheckpoint> decoded =
+      DecodeCheckpoint(EncodeCheckpoint(epoch.Snapshot()));
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
 
-  EpochAccumulator restarted(130, AdmissionConfig{});
-  ASSERT_TRUE(restarted.AddCluster(0, NodeId{1}, 32, 130, SmallParams()).ok());
-  ASSERT_TRUE(restarted.RestoreDedup(words).ok());
-  for (uint64_t u : users) {
-    EXPECT_TRUE(restarted.Seen(u)) << "user " << u;
+  EpochAccumulator restarted(&tax, PsdaOptions(), 7, AdmissionConfig{});
+  ASSERT_TRUE(restarted.Restore(*decoded, 130).ok());
+  EXPECT_EQ(restarted.restored(), reported.size());
+  EXPECT_EQ(restarted.roster(), roster);
+  for (const uint32_t u : reported) {
+    const uint32_t slot = restarted.SlotOf(u).value();
+    EXPECT_TRUE(restarted.Seen(slot)) << "user " << u;
     // A restart can never double-count a restored user's report.
-    EXPECT_EQ(restarted.IngestReport(0, u, u % 7, 1.0, 0.5),
-              EpochAccumulator::IngestResult::kDuplicate);
+    EXPECT_EQ(restarted.Admit(slot), EpochAccumulator::Verdict::kDuplicate);
   }
-  for (uint64_t u : {2u, 62u, 66u, 126u}) {
-    EXPECT_FALSE(restarted.Seen(u)) << "user " << u;
+  for (const uint32_t u : {2u, 62u, 66u, 126u}) {
+    EXPECT_FALSE(restarted.Seen(restarted.SlotOf(u).value())) << "user " << u;
   }
+  EXPECT_FALSE(restarted.SlotOf(3).has_value());
+  EXPECT_EQ(restarted.Publish().value().counts, epoch.Publish().value().counts);
 }
 
 TEST(EpochAccumulatorTest, RestoreDedupRejectsMalformedWords) {
-  EpochAccumulator epoch(70, AdmissionConfig{});
-  {  // Wrong word count for the cohort (70 bits needs 2 words).
-    EXPECT_FALSE(epoch.RestoreDedup({0xFFULL}).ok());
-    EXPECT_FALSE(epoch.RestoreDedup({0, 0, 0}).ok());
-  }
-  {  // Stray bits past cohort_size in the tail word.
-    std::vector<uint64_t> words(2, 0);
-    words[1] = uint64_t{1} << 20;  // bit 84 > 69
-    EXPECT_FALSE(epoch.RestoreDedup(words).ok());
-  }
-  {  // Valid tail bits are accepted.
-    std::vector<uint64_t> words(2, 0);
-    words[1] = uint64_t{1} << 5;  // bit 69, the last valid position
-    EXPECT_TRUE(epoch.RestoreDedup(words).ok());
-    EXPECT_TRUE(epoch.Seen(69));
-  }
+  const SpatialTaxonomy tax = SmallTaxonomy();
+  std::vector<uint32_t> roster(60);
+  std::iota(roster.begin(), roster.end(), 10u);  // users 10..69 of 70
+  EpochAccumulator epoch(&tax, PsdaOptions(), 0, AdmissionConfig{});
+  ASSERT_TRUE(SealUsers(tax, roster, 70, &epoch).ok());
+  const EpochCheckpoint good = epoch.Snapshot();
+  ASSERT_EQ(good.dedup_words.size(), 2u);  // 70 bits
+
+  const auto restore = [&](const std::vector<uint64_t>& words) {
+    EpochCheckpoint bad = good;
+    bad.dedup_words = words;
+    EpochAccumulator fresh(&tax, PsdaOptions(), 0, AdmissionConfig{});
+    return fresh.Restore(bad, 70);
+  };
+  // Wrong word count for the cohort.
+  EXPECT_EQ(restore({0xFFULL}).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(restore({0, 0, 0}).code(), StatusCode::kFailedPrecondition);
+  // A stray bit past cohort_size in the tail word (bit 84 > 69).
+  EXPECT_EQ(restore({0, uint64_t{1} << 20}).code(),
+            StatusCode::kFailedPrecondition);
+  // A bit for a cohort member outside the roster (user 3).
+  EXPECT_EQ(restore({uint64_t{1} << 3, 0}).code(),
+            StatusCode::kFailedPrecondition);
+
+  // Valid tail bits are accepted: bit 69 is the last roster member.
+  EpochCheckpoint tail = good;
+  tail.dedup_words = {0, uint64_t{1} << 5};
+  EpochAccumulator fresh(&tax, PsdaOptions(), 0, AdmissionConfig{});
+  ASSERT_TRUE(fresh.Restore(tail, 70).ok());
+  EXPECT_TRUE(fresh.Seen(fresh.SlotOf(69).value()));
+  EXPECT_EQ(fresh.restored(), 1u);
+}
+
+TEST(EpochAccumulatorTest, SealAndRestoreRefuseAMalformedRoster) {
+  const SpatialTaxonomy tax = SmallTaxonomy();
+  EpochAccumulator epoch(&tax, PsdaOptions(), 0, AdmissionConfig{});
+  // Out of order, a duplicate, and an id outside the cohort.
+  EXPECT_EQ(SealUsers(tax, {1, 0, 2}, 10, &epoch).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SealUsers(tax, {0, 1, 1}, 10, &epoch).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(SealUsers(tax, {0, 1, 10}, 10, &epoch).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(SealUsers(tax, {0, 1, 2, 3}, 10, &epoch).ok());
+
+  // Nothing is folded yet, so the snapshot has no dedup bit that could
+  // trip over a bad roster: only the roster check stands in the way.
+  const EpochCheckpoint good = epoch.Snapshot();
+  const auto restore = [&](const std::vector<uint32_t>& roster) {
+    EpochCheckpoint bad = good;
+    bad.roster = roster;
+    EpochAccumulator fresh(&tax, PsdaOptions(), 0, AdmissionConfig{});
+    return fresh.Restore(bad, 10).code();
+  };
+  EXPECT_EQ(restore({1, 0, 2, 3}), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(restore({0, 0, 2, 3}), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(restore({0, 1, 2, 10}), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(restore(good.roster), StatusCode::kOk);
 }
 
 TEST(EpochAccumulatorTest, ShedReportsAreBookedAgainstTheirCluster) {
+  const SpatialTaxonomy tax = SmallTaxonomy();
   AdmissionConfig config;
   config.max_queue_depth = 4;
   config.service_per_arrival = 0.0;  // everything past the depth sheds
-  EpochAccumulator epoch(50, config);
-  ASSERT_TRUE(epoch.AddCluster(0, NodeId{1}, 16, 25, SmallParams()).ok());
-  ASSERT_TRUE(epoch.AddCluster(1, NodeId{2}, 16, 25, SmallParams(88)).ok());
+  PsdaOptions psda;
+  psda.enable_clustering = false;  // one cluster per group
+  std::vector<uint32_t> users(50);
+  std::iota(users.begin(), users.end(), 0u);
+  EpochAccumulator epoch(&tax, psda, 0, config);
+  ASSERT_TRUE(SealUsers(tax, users, 50, &epoch).ok());
+  ASSERT_GE(epoch.num_clusters(), 2u);
 
   uint64_t admitted = 0;
-  for (int i = 0; i < 20; ++i) {
-    if (epoch.AdmitOrShed(i % 2)) ++admitted;
+  std::map<NodeId, uint64_t> shed_by_region;
+  for (uint32_t slot = 0; slot < 20; ++slot) {
+    if (epoch.Admit(slot) == EpochAccumulator::Verdict::kAccepted) {
+      ++admitted;
+      epoch.Stage(slot, true);
+    } else {
+      ++shed_by_region[epoch.Assignment(slot).region];
+    }
+    // A shed slot is Seen, so a second copy is a duplicate, not a re-admit.
+    EXPECT_EQ(epoch.Admit(slot), EpochAccumulator::Verdict::kDuplicate);
   }
   EXPECT_GT(admitted, 0u);
   EXPECT_LT(admitted, 20u);
-  EXPECT_EQ(epoch.cluster(0).n_shed() + epoch.cluster(1).n_shed(),
-            20u - admitted);
   EXPECT_EQ(epoch.admission().shed(), 20u - admitted);
+  uint64_t cluster_shed = 0;
+  for (size_t c = 0; c < epoch.num_clusters(); ++c) {
+    EXPECT_EQ(epoch.cluster(c).n_shed(),
+              shed_by_region[epoch.cluster(c).region()]);
+    cluster_shed += epoch.cluster(c).n_shed();
+  }
+  EXPECT_EQ(cluster_shed, 20u - admitted);
 }
 
 }  // namespace

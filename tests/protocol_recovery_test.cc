@@ -1,10 +1,12 @@
 // Crash-safe epoch aggregation: RunEpoch/ResumeEpoch semantics — the
 // bit-identical recovery contract on a clean channel, the
-// restart-from-scratch path when no snapshot survives, configuration
-// mismatch rejection, and graceful degradation under admission control.
+// restart-from-scratch path when no snapshot survives, configuration and
+// roster mismatch rejection, and graceful degradation under admission
+// control.
 
 #include <cmath>
 #include <filesystem>
+#include <functional>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -13,6 +15,7 @@
 
 #include "core/psda.h"
 #include "protocol/channel.h"
+#include "protocol/checkpoint.h"
 #include "protocol/client.h"
 #include "protocol/server.h"
 #include "util/random.h"
@@ -234,6 +237,52 @@ TEST(RecoveryTest, ResumeRejectsMismatchedConfigurations) {
   // The matching configuration still resumes fine afterwards.
   EXPECT_TRUE(server.ResumeEpoch(&clients, run, nullptr).ok());
   std::filesystem::remove_all(run.checkpoint.dir);
+}
+
+// Crashes an epoch after some snapshots, then re-saves its newest snapshot
+// through `tamper` with a valid CRC, so only the restore's own checks stand
+// between the tampered roster and the accumulators.
+Status ResumeTamperedRoster(
+    const std::string& name,
+    const std::function<void(EpochCheckpoint*)>& tamper) {
+  const SpatialTaxonomy tax = MakeTaxonomy();
+  auto clients = MakeClients(tax, 200, 61);
+  AggregationServer server(&tax, PsdaOptions());
+  EpochRunOptions run;
+  run.checkpoint.dir = FreshDir(name);
+  run.checkpoint.every_n_reports = 16;
+  run.crash_after_ingests = 100;
+  EXPECT_EQ(server.RunEpoch(&clients, run, nullptr).status().code(),
+            StatusCode::kAborted);
+  CheckpointStore store(run.checkpoint.dir);
+  EpochCheckpoint checkpoint = store.RestoreLatest().value();
+  EXPECT_EQ(checkpoint.ingested, 96u);
+  tamper(&checkpoint);
+  EXPECT_TRUE(store.Save(checkpoint).ok());
+
+  run.crash_after_ingests = 0;
+  const Status resumed = server.ResumeEpoch(&clients, run, nullptr).status();
+  std::filesystem::remove_all(run.checkpoint.dir);
+  return resumed;
+}
+
+TEST(RecoveryTest, ResumeRejectsSwappedRosterEntries) {
+  // Each (roster, spec) pair stays intact, but the roster is no longer
+  // ascending, so slots would map to other users' clusters and rows.
+  const Status resumed =
+      ResumeTamperedRoster("pldp_recovery_swapped", [](EpochCheckpoint* c) {
+        std::swap(c->roster[3], c->roster[40]);
+        std::swap(c->specs[3], c->specs[40]);
+      });
+  EXPECT_EQ(resumed.code(), StatusCode::kFailedPrecondition) << resumed;
+}
+
+TEST(RecoveryTest, ResumeRejectsDuplicateRosterEntries) {
+  const Status resumed =
+      ResumeTamperedRoster("pldp_recovery_duplicate", [](EpochCheckpoint* c) {
+        c->roster[1] = c->roster[0];
+      });
+  EXPECT_EQ(resumed.code(), StatusCode::kFailedPrecondition) << resumed;
 }
 
 TEST(AdmissionControlTest, OverloadShedsGracefullyAndRescalesUnbiased) {

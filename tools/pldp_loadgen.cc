@@ -14,9 +14,7 @@
 // AggregationServer over an identical cohort and assert the daemon's
 // published estimates are bit-identical. Device-side perturbation runs
 // through the batched encode kernel (BatchKeepDecisions, SIMD where the CPU
-// has it) so cohort generation is not the bottleneck at millions of users;
-// --device-encode forces the legacy per-user DeviceClient path, which is
-// bit-identical by construction.
+// has it) so cohort generation is not the bottleneck at millions of users.
 //
 // Results land in BENCH_net_service.json (schema pldp.bench/1) via the
 // shared bench reporting, with the throughput/latency stats the benchdiff
@@ -102,10 +100,6 @@ struct LoadgenOptions {
 
   // Verification / reporting.
   bool compare = false;  // bit-identity assert vs in-process RunEpoch
-  // Force the legacy per-user DeviceClient encode path instead of the
-  // batched BatchKeepDecisions kernel (both are bit-identical; the flag
-  // exists for A/B runs and for exercising the protocol-layer code).
-  bool device_encode = false;
   std::string bench_name = "net_service";
 };
 
@@ -126,7 +120,6 @@ void PrintUsage() {
          "  --io-threads N     (--serve) daemon I/O threads\n"
          "  --threads N        (--serve) fold chunk count\n"
          "  --compare          assert bit-identity vs in-process run\n"
-         "  --device-encode    per-user DeviceClient path (no batched kernel)\n"
          "  --bench-name NAME  BENCH_<NAME>.json (net_service)\n";
 }
 
@@ -201,8 +194,6 @@ StatusOr<LoadgenOptions> ParseArgs(int argc, char** argv) {
       options.progress = static_cast<unsigned>(n);
     } else if (flag == "--compare") {
       options.compare = true;
-    } else if (flag == "--device-encode") {
-      options.device_encode = true;
     } else if (flag == "--bench-name") {
       PLDP_ASSIGN_OR_RETURN(options.bench_name, next());
     } else {
@@ -368,72 +359,55 @@ Status RunReportPhase(const LoadgenOptions& options, const SharedCohort& cohort,
     while (!pending.empty()) {
       PLDP_RETURN_IF_ERROR(drain_one());
     }
-    if (options.device_encode) {
-      // Legacy path: one DeviceClient per user, serializing and re-parsing
-      // the assignment through the real protocol handler.
-      for (uint64_t user = base; user < chunk_end; ++user) {
-        PLDP_ASSIGN_OR_RETURN(const RowAssignmentMsg assignment,
-                              client->ReadAssignment());
-        DeviceClient device(cohort.taxonomy, (*cohort.users)[user].cell,
-                            (*cohort.users)[user].spec,
-                            DeviceSeed(cohort.seed, user));
-        PLDP_ASSIGN_OR_RETURN(
-            std::vector<uint8_t> report_bytes,
-            device.HandleRowAssignment(assignment.Serialize()));
-        chunk_users.push_back(user);
-        chunk_reports.push_back(std::move(report_bytes));
+    // Device-side encode: replicate DeviceClient::HandleRowAssignment's
+    // checks per user, then derive the whole chunk's keep decisions in one
+    // vectorized pass. Users in a chunk are consecutive, and the loadgen
+    // device seed SplitMix64(seed ^ (user + 1)) is exactly
+    // SeedSchedule{seed, 1} at index_base = base, so BatchKeepDecisions
+    // reproduces the first Bernoulli draw of each per-user Rng and
+    // report.positive = (row bit == keep) matches `z > 0.0` bit for bit
+    // (the magnitude is positive for any valid epsilon). --compare asserts
+    // the published estimates equal the in-process DeviceClient run's.
+    chunk_signs.clear();
+    chunk_epsilons.clear();
+    for (uint64_t user = base; user < chunk_end; ++user) {
+      PLDP_ASSIGN_OR_RETURN(const RowAssignmentMsg assignment,
+                            client->ReadAssignment());
+      const UserRecord& record = (*cohort.users)[user];
+      if (assignment.region >= cohort.taxonomy->num_nodes()) {
+        return Status::InvalidArgument(
+            "row assignment names an unknown region");
       }
-    } else {
-      // Batched path: replicate DeviceClient::HandleRowAssignment's checks
-      // per user, then derive the whole chunk's keep decisions in one
-      // vectorized pass. Users in a chunk are consecutive, and the loadgen
-      // device seed SplitMix64(seed ^ (user + 1)) is exactly
-      // SeedSchedule{seed, 1} at index_base = base, so BatchKeepDecisions
-      // reproduces the first Bernoulli draw of each per-user Rng and
-      // report.positive = (row bit == keep) matches `z > 0.0` bit for bit
-      // (the magnitude is positive for any valid epsilon). --compare
-      // asserts the published estimates stay identical either way.
-      chunk_signs.clear();
-      chunk_epsilons.clear();
-      for (uint64_t user = base; user < chunk_end; ++user) {
-        PLDP_ASSIGN_OR_RETURN(const RowAssignmentMsg assignment,
-                              client->ReadAssignment());
-        const UserRecord& record = (*cohort.users)[user];
-        if (assignment.region >= cohort.taxonomy->num_nodes()) {
-          return Status::InvalidArgument(
-              "row assignment names an unknown region");
-        }
-        if (!cohort.taxonomy->Contains(assignment.region,
-                                       record.spec.safe_region)) {
-          return Status::FailedPrecondition(
-              "assigned protocol region does not cover this device's safe "
-              "region");
-        }
-        if (assignment.row_bits.size() !=
-            cohort.taxonomy->RegionSize(assignment.region)) {
-          return Status::InvalidArgument(
-              "row length does not match the region");
-        }
-        if (assignment.m == 0) {
-          return Status::InvalidArgument(
-              "reduced dimension m must be positive");
-        }
-        PLDP_ASSIGN_OR_RETURN(
-            const uint64_t rank,
-            cohort.taxonomy->RegionRankOfCell(assignment.region, record.cell));
-        chunk_signs.push_back(assignment.row_bits.Get(rank) ? 1 : 0);
-        chunk_epsilons.push_back(record.spec.epsilon);
-        chunk_users.push_back(user);
+      if (!cohort.taxonomy->Contains(assignment.region,
+                                     record.spec.safe_region)) {
+        return Status::FailedPrecondition(
+            "assigned protocol region does not cover this device's safe "
+            "region");
       }
-      chunk_keep.assign(chunk_users.size(), 0);
-      PLDP_RETURN_IF_ERROR(BatchKeepDecisions(
-          SeedSchedule{cohort.seed, 1}, base, chunk_epsilons.data(),
-          chunk_keep.size(), chunk_keep.data()));
-      for (size_t k = 0; k < chunk_users.size(); ++k) {
-        ReportMsg report;
-        report.positive = chunk_signs[k] == chunk_keep[k];
-        chunk_reports.push_back(report.Serialize());
+      if (assignment.row_bits.size() !=
+          cohort.taxonomy->RegionSize(assignment.region)) {
+        return Status::InvalidArgument(
+            "row length does not match the region");
       }
+      if (assignment.m == 0) {
+        return Status::InvalidArgument(
+            "reduced dimension m must be positive");
+      }
+      PLDP_ASSIGN_OR_RETURN(
+          const uint64_t rank,
+          cohort.taxonomy->RegionRankOfCell(assignment.region, record.cell));
+      chunk_signs.push_back(assignment.row_bits.Get(rank) ? 1 : 0);
+      chunk_epsilons.push_back(record.spec.epsilon);
+      chunk_users.push_back(user);
+    }
+    chunk_keep.assign(chunk_users.size(), 0);
+    PLDP_RETURN_IF_ERROR(BatchKeepDecisions(
+        SeedSchedule{cohort.seed, 1}, base, chunk_epsilons.data(),
+        chunk_keep.size(), chunk_keep.data()));
+    for (size_t k = 0; k < chunk_users.size(); ++k) {
+      ReportMsg report;
+      report.positive = chunk_signs[k] == chunk_keep[k];
+      chunk_reports.push_back(report.Serialize());
     }
 
     // Pipelined, paced report submission.
