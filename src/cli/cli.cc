@@ -496,7 +496,13 @@ Status RunServeCommand(const CliOptions& options, std::ostream& out) {
   while (g_serve_stop == 0) {
     if (options.serve_once &&
         engine.phase() == net::EpochEngine::Phase::kPublished) {
-      break;
+      // The client that sealed still has to fetch the estimates: stay up
+      // until they were sent once, or until no client is left to ask.
+      const net::NetServerStats sockets = server.stats();
+      if (sockets.estimates_sent > 0 ||
+          sockets.connections_closed == sockets.connections_accepted) {
+        break;
+      }
     }
     if (g_serve_dump != 0) {
       g_serve_dump = 0;
@@ -554,6 +560,8 @@ const char* StatPhaseName(uint8_t phase) {
       return "collecting reports";
     case 2:
       return "published";
+    case 3:
+      return "sealing";
   }
   return "unknown";
 }

@@ -86,7 +86,9 @@ namespace pldp {
 ///   --ckpt-dir <dir>             enable durable snapshots in <dir>
 ///   --resume                     restore the newest snapshot before serving
 ///   --shed <f>                   admission overload (as in chaos)
-///   --once                       exit once the epoch publishes
+///   --once                       exit once the epoch publishes and its
+///                                estimates were fetched (or no client is
+///                                connected)
 ///   --output <counts.csv>        published estimate dump (with --once)
 ///   --admin-port <p>             serve the live-introspection HTTP endpoint
 ///                                (GET /metrics Prometheus text, GET /status

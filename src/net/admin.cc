@@ -35,6 +35,8 @@ const char* PhaseName(uint8_t phase) {
       return "collecting_reports";
     case 2:
       return "published";
+    case 3:
+      return "sealing";
   }
   return "unknown";
 }

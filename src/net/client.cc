@@ -148,8 +148,15 @@ StatusOr<bool> NetClient::ReadSpecAck() {
 }
 
 StatusOr<SealSpecsAckBody> NetClient::SealSpecs(uint64_t cohort_size) {
-  PLDP_RETURN_IF_ERROR(
-      SendFrame(FrameType::kSealSpecs, EncodeSealSpecsBody(cohort_size)));
+  PLDP_RETURN_IF_ERROR(SendSealSpecsNoWait(cohort_size));
+  return ReadSealSpecsAck();
+}
+
+Status NetClient::SendSealSpecsNoWait(uint64_t cohort_size) {
+  return SendFrame(FrameType::kSealSpecs, EncodeSealSpecsBody(cohort_size));
+}
+
+StatusOr<SealSpecsAckBody> NetClient::ReadSealSpecsAck() {
   PLDP_ASSIGN_OR_RETURN(const Frame ack,
                         ReadExpected(FrameType::kSealSpecsAck));
   return ParseSealSpecsAckBody(ack.body);

@@ -47,6 +47,11 @@ class NetClient {
   /// carried Status.
   StatusOr<SealSpecsAckBody> SealSpecs(uint64_t cohort_size);
 
+  /// Pipelined spec seal: send without waiting, balance with
+  /// ReadSealSpecsAck().
+  Status SendSealSpecsNoWait(uint64_t cohort_size);
+  StatusOr<SealSpecsAckBody> ReadSealSpecsAck();
+
   /// Fetches one user's row assignment.
   StatusOr<RowAssignmentMsg> FetchAssignment(uint64_t user_id);
 

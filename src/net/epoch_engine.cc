@@ -11,6 +11,15 @@
 namespace pldp {
 namespace net {
 
+namespace {
+
+/// The refusal of any call that needs `epoch_` while a seal runs.
+Status SealRunning() {
+  return Status::FailedPrecondition("a seal is running");
+}
+
+}  // namespace
+
 EpochEngine::EpochEngine(const SpatialTaxonomy* taxonomy,
                          EpochEngineOptions options)
     : options_(std::move(options)),
@@ -54,22 +63,59 @@ SpecOutcome EpochEngine::RegisterSpec(uint64_t user_id,
 
 Status EpochEngine::SealSpecs(uint64_t cohort_size) {
   PLDP_SPAN("net.seal_specs");
+  std::unordered_map<uint64_t, PrivacySpec> specs;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (phase_ == Phase::kSealing) return SealRunning();
+    if (phase_ != Phase::kCollectingSpecs) {
+      return Status::FailedPrecondition("spec phase is already sealed");
+    }
+    if (pending_specs_.empty()) {
+      return Status::FailedPrecondition(
+          "cannot seal an epoch with no registered specs");
+    }
+    if (cohort_size < pending_specs_.size()) {
+      return Status::InvalidArgument(
+          "cohort size " + std::to_string(cohort_size) + " is below the " +
+          std::to_string(pending_specs_.size()) + " registered specs");
+    }
+    specs.swap(pending_specs_);
+    spec_responders_ = specs.size();
+    sealed_from_ = phase_;
+    phase_ = Phase::kSealing;
+    obs::FlightRecorder::Global().Record(obs::FlightEventType::kPhase,
+                                         "phase.sealing", specs.size(),
+                                         cohort_size);
+  }
+  const Status sealed = SealRoster(specs, cohort_size);
+
   std::lock_guard<std::mutex> lock(mu_);
-  if (phase_ != Phase::kCollectingSpecs) {
-    return Status::FailedPrecondition("spec phase is already sealed");
+  if (!sealed.ok()) {
+    pending_specs_ = std::move(specs);
+    phase_ = Phase::kCollectingSpecs;
+    return sealed;
   }
-  if (pending_specs_.empty()) {
-    return Status::FailedPrecondition(
-        "cannot seal an epoch with no registered specs");
-  }
-  if (cohort_size < pending_specs_.size()) {
-    return Status::InvalidArgument(
-        "cohort size " + std::to_string(cohort_size) + " is below the " +
-        std::to_string(pending_specs_.size()) + " registered specs");
-  }
+  num_clusters_ = epoch_.num_clusters();
+  cohort_size_ = cohort_size;
+  phase_ = Phase::kCollectingReports;
+
+  auto& registry = obs::MetricsRegistry::Global();
+  static obs::Gauge* clusters = registry.GetGauge("net.clusters");
+  static obs::Gauge* responders = registry.GetGauge("net.spec_responders");
+  clusters->Set(static_cast<double>(num_clusters_));
+  responders->Set(static_cast<double>(spec_responders_));
+  obs::FlightRecorder::Global().Record(obs::FlightEventType::kPhase,
+                                       "phase.collecting_reports",
+                                       spec_responders_, cohort_size);
+  return Status::OK();
+}
+
+Status EpochEngine::SealRoster(
+    const std::unordered_map<uint64_t, PrivacySpec>& specs,
+    uint64_t cohort_size) {
   std::vector<uint32_t> roster;
-  roster.reserve(pending_specs_.size());
-  for (const auto& entry : pending_specs_) {
+  roster.reserve(specs.size());
+  for (const auto& entry : specs) {
     // EpochCheckpoint rosters are 32-bit user indices; refusing wider ids at
     // the seal keeps every later snapshot loadable.
     if (entry.first > std::numeric_limits<uint32_t>::max()) {
@@ -83,27 +129,15 @@ Status EpochEngine::SealSpecs(uint64_t cohort_size) {
   // registers, this is exactly the client-index order the in-process spec
   // phase produces, which is what makes the transcripts comparable.
   std::sort(roster.begin(), roster.end());
-  std::vector<PrivacySpec> specs;
-  specs.reserve(roster.size());
-  for (const uint32_t id : roster) specs.push_back(pending_specs_[id]);
-  PLDP_RETURN_IF_ERROR(
-      epoch_.Seal(std::move(roster), std::move(specs), cohort_size));
-  pending_specs_.clear();
-  phase_ = Phase::kCollectingReports;
-
-  auto& registry = obs::MetricsRegistry::Global();
-  static obs::Gauge* clusters = registry.GetGauge("net.clusters");
-  static obs::Gauge* responders = registry.GetGauge("net.spec_responders");
-  clusters->Set(static_cast<double>(epoch_.num_clusters()));
-  responders->Set(static_cast<double>(epoch_.roster().size()));
-  obs::FlightRecorder::Global().Record(obs::FlightEventType::kPhase,
-                                       "phase.collecting_reports",
-                                       epoch_.roster().size(), cohort_size);
-  return Status::OK();
+  std::vector<PrivacySpec> sorted;
+  sorted.reserve(roster.size());
+  for (const uint32_t id : roster) sorted.push_back(specs.at(id));
+  return epoch_.Seal(std::move(roster), std::move(sorted), cohort_size);
 }
 
 StatusOr<RowAssignmentMsg> EpochEngine::Assignment(uint64_t user_id) const {
   std::lock_guard<std::mutex> lock(mu_);
+  if (phase_ == Phase::kSealing) return SealRunning();
   if (phase_ == Phase::kCollectingSpecs) {
     return Status::FailedPrecondition(
         "row assignments exist only after seal_specs");
@@ -130,16 +164,17 @@ ReportOutcome EpochEngine::SubmitReport(uint64_t user_id,
       registry.GetCounter("net.wrong_phase_frames");
 
   std::lock_guard<std::mutex> lock(mu_);
-  if (phase_ == Phase::kCollectingSpecs) {
+  if (phase_ == Phase::kCollectingSpecs ||
+      (phase_ == Phase::kSealing &&
+       sealed_from_ == Phase::kCollectingSpecs)) {
     ++stats_.wrong_phase_frames;
     wrong_phase->Increment();
     return ReportOutcome::kWrongPhase;
   }
-  if (phase_ == Phase::kPublished) {
-    // Late frame: the epoch is sealed, so this user was already a
-    // non-responder at decode and the n/n_resp rescale compensated them.
-    // Counting (never folding) the frame keeps the published estimate
-    // unbiased.
+  if (phase_ != Phase::kCollectingReports) {
+    // Late frame: the epoch seal has begun, so this user is a non-responder
+    // at decode and the n/n_resp rescale compensates them. Counting (never
+    // folding) the frame keeps the published estimate unbiased.
     ++stats_.late_frames;
     late->Increment();
     return ReportOutcome::kLate;
@@ -172,24 +207,40 @@ ReportOutcome EpochEngine::SubmitReport(uint64_t user_id,
 
 Status EpochEngine::SealEpoch() {
   PLDP_SPAN("net.seal_epoch");
-  std::lock_guard<std::mutex> lock(mu_);
-  if (phase_ == Phase::kCollectingSpecs) {
-    return Status::FailedPrecondition("seal_epoch before seal_specs");
-  }
-  if (phase_ == Phase::kPublished) {
-    return Status::OK();  // idempotent: a retried seal is not an error
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (phase_ == Phase::kSealing) return SealRunning();
+    if (phase_ == Phase::kCollectingSpecs) {
+      return Status::FailedPrecondition("seal_epoch before seal_specs");
+    }
+    if (phase_ == Phase::kPublished) {
+      return Status::OK();  // idempotent: a retried seal is not an error
+    }
+    sealed_from_ = phase_;
+    phase_ = Phase::kSealing;
+    obs::FlightRecorder::Global().Record(obs::FlightEventType::kPhase,
+                                         "phase.sealing",
+                                         stats_.reports_staged,
+                                         cohort_size_);
   }
 
   // The final snapshot makes the fully folded epoch durable before decode,
   // mirroring the in-process epoch teardown: a crash between fold and
   // publish recovers with zero report loss.
-  if (options_.checkpoint.enabled()) {
-    PLDP_RETURN_IF_ERROR(CheckpointLocked());
-  }
-  PLDP_ASSIGN_OR_RETURN(PsdaResult result, epoch_.Publish());
-  published_ = std::move(result.counts);
-  cluster_response_ = std::move(result.cluster_response);
+  const bool checkpointing = options_.checkpoint.enabled();
+  const Status saved = checkpointing ? FoldAndSave() : Status::OK();
+  StatusOr<PsdaResult> result =
+      saved.ok() ? epoch_.Publish() : StatusOr<PsdaResult>(saved);
+
+  std::lock_guard<std::mutex> lock(mu_);
   stats_.reports_folded = epoch_.folded();
+  if (checkpointing && saved.ok()) NoteCheckpointLocked();
+  if (!result.ok()) {
+    phase_ = Phase::kCollectingReports;
+    return result.status();
+  }
+  published_ = std::move(result->counts);
+  cluster_response_ = std::move(result->cluster_response);
   phase_ = Phase::kPublished;
 
   auto& registry = obs::MetricsRegistry::Global();
@@ -210,27 +261,31 @@ Status EpochEngine::Checkpoint() {
     return Status::InvalidArgument(
         "checkpointing is disabled (no directory configured)");
   }
+  if (phase_ == Phase::kSealing) return SealRunning();
   if (phase_ == Phase::kCollectingSpecs) {
     return Status::FailedPrecondition(
         "nothing to checkpoint before the spec seal");
   }
-  return CheckpointLocked();
+  const Status saved = FoldAndSave();
+  stats_.reports_folded = epoch_.folded();
+  if (saved.ok()) NoteCheckpointLocked();
+  return saved;
 }
 
-Status EpochEngine::CheckpointLocked() {
+Status EpochEngine::FoldAndSave() {
   epoch_.Fold();
-  stats_.reports_folded = epoch_.folded();
   CheckpointStore store(options_.checkpoint.dir, options_.checkpoint.keep);
-  PLDP_RETURN_IF_ERROR(store.Save(epoch_.Snapshot()));
-  ++stats_.checkpoints_written;
+  return store.Save(epoch_.Snapshot());
+}
 
-  auto& registry = obs::MetricsRegistry::Global();
-  static obs::Counter* checkpoints = registry.GetCounter("net.checkpoints");
+void EpochEngine::NoteCheckpointLocked() {
+  ++stats_.checkpoints_written;
+  static obs::Counter* checkpoints =
+      obs::MetricsRegistry::Global().GetCounter("net.checkpoints");
   checkpoints->Increment();
   obs::FlightRecorder::Global().Record(
       obs::FlightEventType::kCheckpoint, "checkpoint.write",
       epoch_.restored() + epoch_.folded(), stats_.checkpoints_written);
-  return Status::OK();
 }
 
 Status EpochEngine::RestoreLatest() {
@@ -251,6 +306,9 @@ Status EpochEngine::RestoreLatest() {
   // snapshot's.
   PLDP_RETURN_IF_ERROR(epoch_.Restore(checkpoint, checkpoint.cohort_size));
   stats_.restored_reports = epoch_.restored();
+  num_clusters_ = epoch_.num_clusters();
+  spec_responders_ = epoch_.roster().size();
+  cohort_size_ = epoch_.cohort_size();
   phase_ = Phase::kCollectingReports;
 
   auto& registry = obs::MetricsRegistry::Global();
@@ -282,18 +340,18 @@ NetEpochStats EpochEngine::stats() const {
 
 uint64_t EpochEngine::num_clusters() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return epoch_.num_clusters();
+  return num_clusters_;
 }
 
 uint64_t EpochEngine::spec_responders() const {
   std::lock_guard<std::mutex> lock(mu_);
   return phase_ == Phase::kCollectingSpecs ? pending_specs_.size()
-                                           : epoch_.roster().size();
+                                           : spec_responders_;
 }
 
 uint64_t EpochEngine::cohort_size() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return epoch_.cohort_size();
+  return cohort_size_;
 }
 
 EpochEngine::StatusView EpochEngine::StatusSnapshot() const {
@@ -301,11 +359,11 @@ EpochEngine::StatusView EpochEngine::StatusSnapshot() const {
   StatusView view;
   view.phase = phase_;
   view.stats = stats_;
-  view.num_clusters = epoch_.num_clusters();
+  view.num_clusters = num_clusters_;
   view.spec_responders = phase_ == Phase::kCollectingSpecs
                              ? pending_specs_.size()
-                             : epoch_.roster().size();
-  view.cohort_size = epoch_.cohort_size();
+                             : spec_responders_;
+  view.cohort_size = cohort_size_;
   view.published_cells = published_.size();
   return view;
 }

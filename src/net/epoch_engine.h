@@ -86,14 +86,25 @@ enum class SpecOutcome : uint8_t {
 /// publish within the Theorem 4.5 envelope instead (same contract as chaos
 /// recovery under faults).
 ///
-/// All public methods are thread-safe; the I/O threads of net/server.h call
-/// straight into the engine.
+/// All public methods are thread-safe. The I/O threads of net/server.h call
+/// straight into the engine for every frame except the two seals, which
+/// NetServer runs on its seal thread. A seal holds `mu_` only to enter and to
+/// leave the kSealing phase; the O(cohort) work in between (the roster sort,
+/// Algorithm 3 clustering, the fold, the checkpoint, decode and publish) runs
+/// without it. While the phase is kSealing no other method touches `epoch_`,
+/// so a status read never waits on seal work, and the frames that would need
+/// it get defined verdicts: a spec upload is kWrongPhase, a report is
+/// kWrongPhase during the spec seal and kLate during the epoch seal, and
+/// Assignment, Checkpoint and another seal fail with FailedPrecondition.
 class EpochEngine {
  public:
   enum class Phase : uint8_t {
     kCollectingSpecs = 0,
     kCollectingReports = 1,
     kPublished = 2,
+    /// A SealSpecs or SealEpoch is running; it leaves for the next phase, or
+    /// for the one it came from when it fails.
+    kSealing = 3,
   };
 
   /// `taxonomy` must outlive the engine.
@@ -109,11 +120,13 @@ class EpochEngine {
   /// clusters, accumulators, every row assignment). `cohort_size` is
   /// the full population (registered users must have ids below it); the
   /// publish-time global rescale is cohort_size / responders, matching the
-  /// in-process spec-dropout compensation.
+  /// in-process spec-dropout compensation. On failure the engine is back in
+  /// kCollectingSpecs with its registered specs.
   Status SealSpecs(uint64_t cohort_size);
 
   /// The row assignment of a sealed user (phase kCollectingReports or
-  /// later). NotFound for users outside the roster.
+  /// kPublished; FailedPrecondition otherwise). NotFound for users outside
+  /// the roster.
   StatusOr<RowAssignmentMsg> Assignment(uint64_t user_id) const;
 
   /// Stages one sanitized report. Never blocks on the accumulators; the
@@ -121,12 +134,13 @@ class EpochEngine {
   ReportOutcome SubmitReport(uint64_t user_id, const ReportMsg& msg);
 
   /// Folds all staged reports, writes the final checkpoint when configured,
-  /// and publishes (EpochAccumulator::Publish).
+  /// and publishes (EpochAccumulator::Publish). A retry after publish is OK;
+  /// on failure the engine is back in kCollectingReports.
   Status SealEpoch();
 
   /// Folds what has been staged so far and writes a durable snapshot (the
-  /// graceful-shutdown path). FailedPrecondition before the spec seal;
-  /// InvalidArgument when checkpointing is disabled.
+  /// graceful-shutdown path). FailedPrecondition before the spec seal or
+  /// during a seal; InvalidArgument when checkpointing is disabled.
   Status Checkpoint();
 
   /// Restores a sealed-spec epoch from the newest loadable snapshot, which
@@ -148,8 +162,10 @@ class EpochEngine {
   uint64_t cohort_size() const;
 
   /// One consistent view of everything a status frame reports, read under a
-  /// single lock acquisition (phase/stats/published_cells from separate
-  /// accessors could tear across a concurrent SealEpoch).
+  /// single short lock acquisition (phase/stats/published_cells from
+  /// separate accessors could tear across a seal's commit). It reads only
+  /// fields a seal sets at commit, never `epoch_`, so it answers during a
+  /// seal.
   struct StatusView {
     Phase phase = Phase::kCollectingSpecs;
     NetEpochStats stats;
@@ -161,19 +177,37 @@ class EpochEngine {
   StatusView StatusSnapshot() const;
 
  private:
-  /// Folds what is staged and writes a durable snapshot; caller holds mu_.
-  Status CheckpointLocked();
+  /// Sorts the registered ids into the roster and seals `epoch_`. Touches
+  /// no guarded field, so it runs without mu_ during kSealing.
+  Status SealRoster(const std::unordered_map<uint64_t, PrivacySpec>& specs,
+                    uint64_t cohort_size);
+
+  /// Folds what is staged and writes a durable snapshot of `epoch_`. Caller
+  /// holds mu_, or runs a seal; either way nothing else touches `epoch_`.
+  Status FoldAndSave();
+
+  /// Counts a snapshot FoldAndSave wrote; caller holds mu_.
+  void NoteCheckpointLocked();
 
   EpochEngineOptions options_;
 
   mutable std::mutex mu_;
   Phase phase_ = Phase::kCollectingSpecs;
+  /// The phase the running seal left; meaningful only during kSealing.
+  Phase sealed_from_ = Phase::kCollectingSpecs;
   NetEpochStats stats_;
 
   /// Spec phase: user id -> spec, arrival order irrelevant.
   std::unordered_map<uint64_t, PrivacySpec> pending_specs_;
 
-  /// Everything from the spec seal to publish.
+  /// Set when a seal or restore commits, so status reads never touch
+  /// `epoch_`.
+  uint64_t num_clusters_ = 0;
+  uint64_t spec_responders_ = 0;
+  uint64_t cohort_size_ = 0;
+
+  /// Everything from the spec seal to publish. Guarded by mu_, except during
+  /// kSealing, when only the seal touches it.
   EpochAccumulator epoch_;
 
   std::vector<double> published_;

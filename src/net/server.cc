@@ -38,12 +38,14 @@ obs::Counter* NetCounter(const char* name) {
 }
 
 /// Ingests above this threshold get a kSlowIngest flight event: an engine
-/// call that held the I/O thread long enough to stall its whole epoll share.
+/// call that held the I/O thread long enough to stall its whole epoll share,
+/// or a seal that kept its connection waiting that long.
 constexpr double kSlowIngestMs = 5.0;
 
 /// Per-frame-type ingest-latency histogram, registered on first use. The
 /// bounds span 1 µs .. ~130 ms exponentially — staging is O(1) and sits in
-/// the lowest buckets; seal frames land near the top.
+/// the lowest buckets; a seal, timed on the seal thread from its queueing
+/// to its ack, lands near the top or above it.
 obs::Histogram* IngestHistogram(FrameType type) {
   auto& registry = obs::MetricsRegistry::Global();
   const auto make = [&registry](const char* name) {
@@ -89,6 +91,33 @@ obs::Histogram* IngestHistogram(FrameType type) {
   }
 }
 
+/// True when a frame's ingest is timed: the clock reads only happen when
+/// someone is listening (registry or recorder enabled).
+bool IngestTimed() {
+  return obs::MetricsRegistry::Global().enabled() ||
+         obs::FlightRecorder::Global().enabled();
+}
+
+/// Books one frame's ingest time: its histogram, a frame.ingest flight
+/// event, and a frame.slow one above kSlowIngestMs.
+void ObserveIngest(FrameType type,
+                   std::chrono::steady_clock::time_point begin) {
+  const double elapsed_ms = std::chrono::duration<double, std::milli>(
+                                std::chrono::steady_clock::now() - begin)
+                                .count();
+  IngestHistogram(type)->Observe(elapsed_ms);
+  auto& recorder = obs::FlightRecorder::Global();
+  if (!recorder.enabled()) return;
+  recorder.Record(obs::FlightEventType::kFrame, "frame.ingest",
+                  static_cast<uint64_t>(type),
+                  static_cast<uint64_t>(elapsed_ms * 1000.0));
+  if (elapsed_ms > kSlowIngestMs) {
+    recorder.Record(obs::FlightEventType::kSlowIngest, "frame.slow",
+                    static_cast<uint64_t>(type),
+                    static_cast<uint64_t>(elapsed_ms * 1000.0));
+  }
+}
+
 }  // namespace
 
 unsigned ResolveIoThreads(unsigned requested) {
@@ -106,24 +135,45 @@ unsigned ResolveIoThreads(unsigned requested) {
 
 /// One accepted socket owned by exactly one I/O loop.
 struct NetServer::Connection {
-  explicit Connection(int fd_in, uint64_t max_payload)
-      : fd(fd_in), decoder(/*expect_magic=*/true, max_payload) {}
+  Connection(int fd_in, uint64_t serial_in, uint64_t max_payload)
+      : fd(fd_in),
+        serial(serial_in),
+        decoder(/*expect_magic=*/true, max_payload) {}
 
   int fd;
+  /// Tells this connection from a later one that reuses its fd.
+  uint64_t serial;
   FrameDecoder decoder;
   /// Pending outbound bytes: [out_consumed, out.size()) awaits the socket.
   std::vector<uint8_t> out;
   size_t out_consumed = 0;
-  bool want_write = false;
+  /// The epoll events the fd is registered for.
+  uint32_t events = EPOLLIN;
+  /// One of its seal frames is with the seal thread: the socket is not read
+  /// and later frames wait in the decoder.
+  bool paused = false;
+  /// A kEstimates frame is in `out`.
+  bool estimates_queued = false;
 };
 
-/// One epoll loop: its fds, its connections, and the transfer queue other
-/// threads park newly accepted sockets on.
+/// A finished seal's reply, on its way back to the connection's loop.
+struct SealAck {
+  int fd;
+  uint64_t serial;
+  FrameType type;
+  std::vector<uint8_t> body;
+};
+
+/// One epoll loop: its fds, its connections, and the transfer queues other
+/// threads park newly accepted sockets and finished seals on.
 struct NetServer::IoLoop {
   int epoll_fd = -1;
   int event_fd = -1;
   std::mutex mu;
-  std::vector<int> pending;  // accepted fds awaiting adoption (guarded by mu)
+  // Guarded by mu: accepted fds awaiting adoption, and the acks of finished
+  // seals awaiting their connection.
+  std::vector<int> pending;
+  std::vector<SealAck> sealed;
   std::unordered_map<int, std::unique_ptr<Connection>> conns;
 };
 
@@ -207,6 +257,11 @@ Status NetServer::Start() {
   draining_.store(false, std::memory_order_release);
   start_time_ = std::chrono::steady_clock::now();
   running_.store(true, std::memory_order_release);
+  {
+    std::lock_guard<std::mutex> lock(seal_mu_);
+    seal_stop_ = false;
+  }
+  seal_thread_ = std::thread([this] { SealMain(); });
   threads_.reserve(io_threads);
   for (unsigned i = 0; i < io_threads; ++i) {
     threads_.emplace_back(
@@ -236,6 +291,15 @@ void NetServer::Stop() {
     if (t.joinable()) t.join();
   }
   threads_.clear();
+  // The seal thread signals the loops' eventfds, so it stops before they
+  // close. An in-flight seal finishes; queued ones are dropped.
+  {
+    std::lock_guard<std::mutex> lock(seal_mu_);
+    seal_stop_ = true;
+    seal_queue_.clear();
+  }
+  seal_ready_.notify_all();
+  if (seal_thread_.joinable()) seal_thread_.join();
   for (auto& loop : loops_) {
     if (loop->epoll_fd >= 0) ::close(loop->epoll_fd);
     if (loop->event_fd >= 0) ::close(loop->event_fd);
@@ -309,6 +373,7 @@ NetServerStats NetServer::stats() const {
   stats.bytes_received = bytes_received_.load(std::memory_order_relaxed);
   stats.bytes_sent = bytes_sent_.load(std::memory_order_relaxed);
   stats.frame_errors = frame_errors_.load(std::memory_order_relaxed);
+  stats.estimates_sent = estimates_sent_.load(std::memory_order_relaxed);
   return stats;
 }
 
@@ -328,6 +393,7 @@ void NetServer::LoopMain(IoLoop* loop, bool is_acceptor) {
         while (::read(loop->event_fd, &drain, sizeof(drain)) > 0) {
         }
         AcceptPending(loop);
+        ResumeSealed(loop);
         continue;
       }
       if (is_acceptor && fd == listen_fd_) {
@@ -396,14 +462,32 @@ void NetServer::AcceptPending(IoLoop* loop) {
       continue;
     }
     loop->conns.emplace(
-        fd, std::make_unique<Connection>(fd, options_.max_frame_payload));
+        fd, std::make_unique<Connection>(
+                fd, next_serial_.fetch_add(1, std::memory_order_relaxed),
+                options_.max_frame_payload));
+  }
+}
+
+void NetServer::ResumeSealed(IoLoop* loop) {
+  std::vector<SealAck> acks;
+  {
+    std::lock_guard<std::mutex> guard(loop->mu);
+    acks.swap(loop->sealed);
+  }
+  for (const SealAck& ack : acks) {
+    const auto it = loop->conns.find(ack.fd);
+    // The connection closed during its seal (its fd may be reused already):
+    // it loses only the ack.
+    if (it == loop->conns.end() || it->second->serial != ack.serial) continue;
+    Connection* conn = it->second.get();
+    QueueFrame(conn, ack.type, ack.body);
+    conn->paused = false;
+    if (!DispatchFrames(loop, conn)) CloseConnection(loop, conn);
   }
 }
 
 bool NetServer::HandleReadable(IoLoop* loop, Connection* conn) {
   static obs::Counter* rx_bytes = NetCounter("net.bytes_received");
-  static obs::Counter* rx_frames = NetCounter("net.frames_received");
-  static obs::Counter* frame_errors = NetCounter("net.frame_errors");
 
   uint8_t buf[kReadChunk];
   while (true) {
@@ -420,39 +504,30 @@ bool NetServer::HandleReadable(IoLoop* loop, Connection* conn) {
     if (errno == EINTR) continue;
     return false;
   }
+  return DispatchFrames(loop, conn);
+}
+
+bool NetServer::DispatchFrames(IoLoop* loop, Connection* conn) {
+  static obs::Counter* rx_frames = NetCounter("net.frames_received");
+  static obs::Counter* frame_errors = NetCounter("net.frame_errors");
+
   // Timing a frame costs two clock reads, so it only happens when someone is
-  // listening (registry or recorder enabled). The untimed path is the
-  // default and is byte-for-byte the pre-introspection dispatch.
+  // listening. The untimed path is the default and is byte-for-byte the
+  // pre-introspection dispatch.
   auto& recorder = obs::FlightRecorder::Global();
-  const bool timed =
-      obs::MetricsRegistry::Global().enabled() || recorder.enabled();
-  while (true) {
+  const bool timed = IngestTimed();
+  while (!conn->paused) {
     StatusOr<Frame> frame = conn->decoder.Next();
     if (frame.ok()) {
       frames_received_.fetch_add(1, std::memory_order_relaxed);
       rx_frames->Increment();
-      bool handled;
-      if (timed) {
-        const auto begin = std::chrono::steady_clock::now();
-        handled = HandleFrame(conn, *frame);
-        const double elapsed_ms =
-            std::chrono::duration<double, std::milli>(
-                std::chrono::steady_clock::now() - begin)
-                .count();
-        IngestHistogram(frame->type)->Observe(elapsed_ms);
-        if (recorder.enabled()) {
-          recorder.Record(obs::FlightEventType::kFrame, "frame.ingest",
-                          static_cast<uint64_t>(frame->type),
-                          static_cast<uint64_t>(elapsed_ms * 1000.0));
-          if (elapsed_ms > kSlowIngestMs) {
-            recorder.Record(obs::FlightEventType::kSlowIngest, "frame.slow",
-                            static_cast<uint64_t>(frame->type),
-                            static_cast<uint64_t>(elapsed_ms * 1000.0));
-          }
-        }
-      } else {
-        handled = HandleFrame(conn, *frame);
-      }
+      const auto begin =
+          timed ? std::chrono::steady_clock::now()
+                : std::chrono::steady_clock::time_point{};
+      const bool handled = HandleFrame(loop, conn, *frame);
+      // A frame that paused its connection is a seal; the seal thread
+      // observes it once, queue wait included.
+      if (timed && !conn->paused) ObserveIngest(frame->type, begin);
       if (!handled) {
         frame_errors_.fetch_add(1, std::memory_order_relaxed);
         frame_errors->Increment();
@@ -475,7 +550,18 @@ bool NetServer::HandleReadable(IoLoop* loop, Connection* conn) {
   return FlushWrites(loop, conn);
 }
 
-bool NetServer::HandleFrame(Connection* conn, const Frame& frame) {
+bool NetServer::HandleFrame(IoLoop* loop, Connection* conn,
+                            const Frame& frame) {
+  const auto queue_seal = [&](uint64_t cohort_size) {
+    conn->paused = true;
+    {
+      std::lock_guard<std::mutex> lock(seal_mu_);
+      seal_queue_.push_back(SealJob{loop, conn->fd, conn->serial, frame.type,
+                                    cohort_size,
+                                    std::chrono::steady_clock::now()});
+    }
+    seal_ready_.notify_one();
+  };
   switch (frame.type) {
     case FrameType::kSpecUpload: {
       const StatusOr<SpecUploadBody> body = ParseSpecUploadBody(frame.body);
@@ -492,14 +578,7 @@ bool NetServer::HandleFrame(Connection* conn, const Frame& frame) {
     case FrameType::kSealSpecs: {
       const StatusOr<uint64_t> cohort = ParseSealSpecsBody(frame.body);
       if (!cohort.ok()) return false;
-      const Status sealed = engine_->SealSpecs(*cohort);
-      if (!sealed.ok()) {
-        QueueFrame(conn, FrameType::kError, EncodeErrorBody(sealed));
-        return true;
-      }
-      QueueFrame(conn, FrameType::kSealSpecsAck,
-                 EncodeSealSpecsAckBody(engine_->num_clusters(),
-                                        engine_->spec_responders()));
+      queue_seal(*cohort);
       return true;
     }
     case FrameType::kRowRequest: {
@@ -524,16 +603,9 @@ bool NetServer::HandleFrame(Connection* conn, const Frame& frame) {
                  {static_cast<uint8_t>(outcome)});
       return true;
     }
-    case FrameType::kSealEpoch: {
-      const Status sealed = engine_->SealEpoch();
-      if (!sealed.ok()) {
-        QueueFrame(conn, FrameType::kError, EncodeErrorBody(sealed));
-        return true;
-      }
-      QueueFrame(conn, FrameType::kSealEpochAck,
-                 EncodeSealEpochAckBody(engine_->published().size()));
+    case FrameType::kSealEpoch:
+      queue_seal(0);
       return true;
-    }
     case FrameType::kFetchEstimates: {
       if (engine_->phase() != EpochEngine::Phase::kPublished) {
         QueueFrame(conn, FrameType::kError,
@@ -543,12 +615,14 @@ bool NetServer::HandleFrame(Connection* conn, const Frame& frame) {
       }
       QueueFrame(conn, FrameType::kEstimates,
                  EncodeEstimatesBody(engine_->published()));
+      conn->estimates_queued = true;
       return true;
     }
     case FrameType::kStatsRequest: {
       // Control plane: answered straight from the epoll thread with one
-      // engine-lock snapshot plus relaxed atomic reads — the fold path is
-      // never touched, so a stats poll mid-epoch cannot perturb results.
+      // short engine-lock snapshot plus relaxed atomic reads. No seal holds
+      // that lock across its work and the fold path is never touched, so a
+      // stats poll answers during a seal and cannot perturb results.
       if (!frame.body.empty()) return false;
       QueueFrame(conn, FrameType::kStatsResponse,
                  EncodeStatsBody(ServiceStats()));
@@ -589,31 +663,35 @@ bool NetServer::FlushWrites(IoLoop* loop, Connection* conn) {
       conn->out_consumed += static_cast<size_t>(n);
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-      if (!conn->want_write) {
-        epoll_event ev;
-        memset(&ev, 0, sizeof(ev));
-        ev.events = EPOLLIN | EPOLLOUT;
-        ev.data.fd = conn->fd;
-        ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
-        conn->want_write = true;
-      }
-      return true;
-    }
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     if (n < 0 && errno == EINTR) continue;
     return false;
   }
-  conn->out.clear();
-  conn->out_consumed = 0;
-  if (conn->want_write) {
-    epoll_event ev;
-    memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN;
-    ev.data.fd = conn->fd;
-    ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
-    conn->want_write = false;
+  if (conn->out_consumed == conn->out.size()) {
+    conn->out.clear();
+    conn->out_consumed = 0;
+    if (conn->estimates_queued) {
+      conn->estimates_queued = false;
+      estimates_sent_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
+  UpdateInterest(loop, conn);
   return true;
+}
+
+void NetServer::UpdateInterest(IoLoop* loop, Connection* conn) {
+  // Epoll here is level-triggered: a paused connection that kept EPOLLIN
+  // would wake the loop for its unread bytes on every epoll_wait.
+  const uint32_t events =
+      (conn->paused ? 0u : static_cast<uint32_t>(EPOLLIN)) |
+      (conn->out.empty() ? 0u : static_cast<uint32_t>(EPOLLOUT));
+  if (events == conn->events) return;
+  epoll_event ev;
+  memset(&ev, 0, sizeof(ev));
+  ev.events = events;
+  ev.data.fd = conn->fd;
+  ::epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
+  conn->events = events;
 }
 
 void NetServer::CloseConnection(IoLoop* loop, Connection* conn) {
@@ -623,6 +701,44 @@ void NetServer::CloseConnection(IoLoop* loop, Connection* conn) {
   connections_closed_.fetch_add(1, std::memory_order_relaxed);
   closed->Increment();
   loop->conns.erase(conn->fd);
+}
+
+void NetServer::SealMain() {
+  while (true) {
+    SealJob job;
+    {
+      std::unique_lock<std::mutex> lock(seal_mu_);
+      seal_ready_.wait(lock,
+                       [this] { return seal_stop_ || !seal_queue_.empty(); });
+      if (seal_stop_) return;
+      job = seal_queue_.front();
+      seal_queue_.pop_front();
+    }
+    SealAck ack{job.fd, job.serial, FrameType::kError, {}};
+    Status sealed;
+    if (job.type == FrameType::kSealSpecs) {
+      sealed = engine_->SealSpecs(job.cohort_size);
+      if (sealed.ok()) {
+        ack.type = FrameType::kSealSpecsAck;
+        ack.body = EncodeSealSpecsAckBody(engine_->num_clusters(),
+                                          engine_->spec_responders());
+      }
+    } else {
+      sealed = engine_->SealEpoch();
+      if (sealed.ok()) {
+        ack.type = FrameType::kSealEpochAck;
+        ack.body = EncodeSealEpochAckBody(engine_->published().size());
+      }
+    }
+    if (!sealed.ok()) ack.body = EncodeErrorBody(sealed);
+    if (IngestTimed()) ObserveIngest(job.type, job.queued);
+    {
+      std::lock_guard<std::mutex> guard(job.loop->mu);
+      job.loop->sealed.push_back(std::move(ack));
+    }
+    const uint64_t one = 1;
+    [[maybe_unused]] ssize_t w = ::write(job.loop->event_fd, &one, sizeof(one));
+  }
 }
 
 }  // namespace net

@@ -3,8 +3,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,6 +58,8 @@ struct NetServerStats {
   /// oversized or unknown frames). Never causes partial ingest: the decoder
   /// poisons before any byte of the bad frame is interpreted.
   uint64_t frame_errors = 0;
+  /// kEstimates frames written to their sockets in full.
+  uint64_t estimates_sent = 0;
 };
 
 /// Non-blocking epoll TCP daemon serving one EpochEngine.
@@ -64,16 +69,25 @@ struct NetServerStats {
 /// to the loops via an eventfd-signalled transfer queue. Each loop owns its
 /// connections outright (per-connection FrameDecoder + write queue), so no
 /// connection state is ever shared between threads — the only cross-thread
-/// object is the engine, which guards itself.
+/// objects are the engine, which guards itself, and the mutex-guarded queues
+/// that hand sockets, seals and acks between threads.
 ///
-/// Frame dispatch is synchronous: a decoded report frame is one O(1)
-/// EpochEngine::SubmitReport call (staging, no accumulator work), so the
-/// expensive O(m)-per-cluster fold never runs on the I/O path — it happens
-/// once, at seal, on the shared thread pool.
+/// Frame dispatch is synchronous for every frame but the two seals: a
+/// decoded report frame is one O(1) EpochEngine::SubmitReport call (staging,
+/// no accumulator work). A kSealSpecs or kSealEpoch frame goes on a FIFO
+/// queue for the one seal thread, and its connection pauses until the ack is
+/// queued: it drops EPOLLIN (the epoll here is level-triggered) and its later
+/// frames wait in its decoder, so replies stay FIFO per connection. The ack
+/// comes back through the loop's eventfd, as accepted sockets do, and finds
+/// its connection by serial, since fds are reused. Meanwhile the loops keep
+/// serving every other connection, stats frames included. The seal gets a
+/// thread of its own because a ParallelFor issued from a pool worker runs
+/// inline, which would fold and decode serially.
 ///
-/// Stop() is graceful: stops accepting, drains the loops, closes every
-/// connection, joins the threads. The caller owns the durability decision
-/// (the CLI's SIGTERM handler calls Stop() then EpochEngine::Checkpoint()).
+/// Stop() is graceful: stops accepting, drains the loops, lets an in-flight
+/// seal finish and drops queued ones, closes every connection, joins the
+/// threads. The caller owns the durability decision (the CLI's SIGTERM
+/// handler calls Stop() then EpochEngine::Checkpoint()).
 class NetServer {
  public:
   /// `engine` must outlive the server.
@@ -115,18 +129,39 @@ class NetServer {
   struct Connection;
   struct IoLoop;
 
+  /// A seal frame waiting for the seal thread.
+  struct SealJob {
+    IoLoop* loop = nullptr;
+    int fd = -1;
+    uint64_t serial = 0;
+    FrameType type = FrameType::kSealSpecs;
+    uint64_t cohort_size = 0;
+    std::chrono::steady_clock::time_point queued;
+  };
+
   void LoopMain(IoLoop* loop, bool is_acceptor);
   void AcceptPending(IoLoop* loop);
-  /// Reads until EAGAIN, decodes frames, dispatches. False => close.
+  /// Queues the acks of finished seals and resumes their connections.
+  void ResumeSealed(IoLoop* loop);
+  /// Reads until EAGAIN, then dispatches. False => close.
   bool HandleReadable(IoLoop* loop, Connection* conn);
+  /// Dispatches decoded frames until the decoder runs dry or a seal pauses
+  /// the connection, then flushes. False => close.
+  bool DispatchFrames(IoLoop* loop, Connection* conn);
   /// Flushes the write queue until EAGAIN. False => close.
   bool FlushWrites(IoLoop* loop, Connection* conn);
-  /// Dispatches one decoded frame into the engine, queueing the response.
+  /// Registers EPOLLIN unless the connection is paused, and EPOLLOUT while
+  /// it has bytes to write.
+  void UpdateInterest(IoLoop* loop, Connection* conn);
+  /// Dispatches one decoded frame into the engine, queueing the response,
+  /// or queues a seal frame for the seal thread and pauses the connection.
   /// False => protocol violation, close the connection.
-  bool HandleFrame(Connection* conn, const Frame& frame);
+  bool HandleFrame(IoLoop* loop, Connection* conn, const Frame& frame);
   void QueueFrame(Connection* conn, FrameType type,
                   const std::vector<uint8_t>& body);
   void CloseConnection(IoLoop* loop, Connection* conn);
+  /// The seal thread: runs queued seals in arrival order.
+  void SealMain();
 
   EpochEngine* engine_;
   NetServerOptions options_;
@@ -139,6 +174,13 @@ class NetServer {
   std::vector<std::unique_ptr<IoLoop>> loops_;
   std::vector<std::thread> threads_;
   std::atomic<uint64_t> next_loop_{0};
+  std::atomic<uint64_t> next_serial_{0};
+
+  std::thread seal_thread_;
+  std::mutex seal_mu_;
+  std::condition_variable seal_ready_;
+  std::deque<SealJob> seal_queue_;  // guarded by seal_mu_
+  bool seal_stop_ = false;          // guarded by seal_mu_
 
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> connections_closed_{0};
@@ -147,6 +189,7 @@ class NetServer {
   std::atomic<uint64_t> bytes_received_{0};
   std::atomic<uint64_t> bytes_sent_{0};
   std::atomic<uint64_t> frame_errors_{0};
+  std::atomic<uint64_t> estimates_sent_{0};
 };
 
 }  // namespace net

@@ -222,7 +222,7 @@ StatusOr<StatsBody> ParseStatsBody(const std::vector<uint8_t>& body) {
   Reader reader(body);
   StatsBody parsed;
   PLDP_ASSIGN_OR_RETURN(parsed.phase, reader.GetByte());
-  if (parsed.phase > 2) {
+  if (parsed.phase > 3) {
     return Status::InvalidArgument("unknown phase in stats body");
   }
   PLDP_ASSIGN_OR_RETURN(parsed.draining, reader.GetByte());

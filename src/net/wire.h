@@ -150,7 +150,7 @@ StatusOr<std::vector<double>> ParseEstimatesBody(
 /// the engine's counters plus the server's socket-level tallies. All counts
 /// are observational — serving this frame never touches the fold path.
 struct StatsBody {
-  uint8_t phase = 0;     ///< NetEpochPhase as its wire value (0/1/2)
+  uint8_t phase = 0;     ///< EpochEngine::Phase as its wire value (0..3)
   uint8_t draining = 0;  ///< 1 once a kDrain closed the listener
   uint64_t uptime_ms = 0;
   uint64_t cohort_size = 0;

@@ -537,5 +537,59 @@ TEST(CliRunTest, ServeOnceIntrospectionEndToEnd) {
   std::remove(flight.c_str());
 }
 
+// `serve --once` stays up until the estimates were fetched: a client that
+// waits 30 ms (a modest WAN round trip) between its SealEpoch ack and the
+// fetch still gets them. No admin port is set, so nothing else holds the
+// daemon up on its way out.
+TEST(CliRunTest, ServeOnceWaitsForTheEstimateFetch) {
+  const CliOptions serve_options =
+      ParseCliArgs({"serve", "--dataset", "storage", "--scale", "0.5",
+                    "--port", "0", "--once"})
+          .value();
+  SyncStream serve_out;
+  Status serve_status = Status::OK();
+  std::thread daemon([&] { serve_status = RunCli(serve_options, serve_out); });
+  uint16_t port = 0;
+  for (int i = 0; i < 1000 && port == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    port = PortAfter(serve_out.str(), "pldp daemon listening on");
+  }
+  ASSERT_GT(port, 0) << serve_out.str();
+
+  const Dataset dataset = GenerateByName("storage", 0.5, 2016).value();
+  const UniformGrid grid = dataset.MakeGrid().value();
+  const SpatialTaxonomy tax = SpatialTaxonomy::Build(grid, 4).value();
+  const size_t n = 24;
+  net::NetClient conn;
+  ASSERT_TRUE(conn.Connect("127.0.0.1", port).ok());
+  for (size_t i = 0; i < n; ++i) {
+    SpecUploadMsg msg;
+    msg.safe_region = tax.root();
+    msg.epsilon = 1.0;
+    ASSERT_TRUE(conn.UploadSpec(i, msg).ok());
+  }
+  ASSERT_TRUE(conn.SealSpecs(n).ok());
+  for (size_t i = 0; i < n; ++i) {
+    const auto assignment = conn.FetchAssignment(i);
+    ASSERT_TRUE(assignment.ok()) << assignment.status();
+    DeviceClient device(&tax, static_cast<CellId>(i % grid.num_cells()),
+                        PrivacySpec{tax.root(), 1.0},
+                        SplitMix64(2016 ^ (i + 1)));
+    const auto reply = device.HandleRowAssignment(assignment->Serialize());
+    ASSERT_TRUE(reply.ok());
+    ASSERT_TRUE(
+        conn.SubmitReport(i, ReportMsg::Parse(reply.value()).value()).ok());
+  }
+  ASSERT_TRUE(conn.SealEpoch().ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  const auto estimates = conn.FetchEstimates();
+  EXPECT_TRUE(estimates.ok()) << estimates.status();
+
+  daemon.join();
+  ASSERT_TRUE(serve_status.ok()) << serve_status.ToString();
+  EXPECT_NE(serve_out.str().find("epoch published"), std::string::npos)
+      << serve_out.str();
+}
+
 }  // namespace
 }  // namespace pldp

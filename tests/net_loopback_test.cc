@@ -1,22 +1,33 @@
 // Loopback integration of the aggregation daemon: a real NetServer on
 // 127.0.0.1 driven by real NetClient connections must publish estimates
 // bit-identical to the in-process AggregationServer over the same cohort,
-// reject corrupted streams by closing, and — stopped mid-epoch the way the
-// CLI's SIGTERM handler does — leave a checkpoint a fresh engine restores.
+// reject corrupted streams by closing, keep answering while a seal runs, and
+// — stopped mid-epoch the way the CLI's SIGTERM handler does — leave a
+// checkpoint a fresh engine restores.
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <functional>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/psda.h"
+#include "data/spec_assignment.h"
+#include "data/synthetic.h"
+#include "net/admin.h"
 #include "net/client.h"
 #include "net/epoch_engine.h"
 #include "net/server.h"
 #include "net/wire.h"
 #include "obs/flight_recorder.h"
+#include "obs/json_reader.h"
 #include "obs/metrics.h"
 #include "protocol/client.h"
 #include "protocol/messages.h"
@@ -213,6 +224,46 @@ TEST(NetLoopbackTest, BitIdenticalWithIntrospectionFullyEnabled) {
   }
 }
 
+/// The serve_checkin cohort: checkin at scale 0.1 with S2/E2 specs, 100k
+/// users. Its spec seal clusters for long enough (about 0.14 s in an
+/// optimized build) that a daemon sealing on its I/O thread answered no stats
+/// frame until the seal ended.
+struct CheckinCohort {
+  SpatialTaxonomy taxonomy;
+  std::vector<UserRecord> users;
+};
+
+CheckinCohort MakeCheckinCohort() {
+  const Dataset dataset = GenerateByName("checkin", 0.1, 2016).value();
+  const UniformGrid grid = dataset.MakeGrid().value();
+  SpatialTaxonomy taxonomy = SpatialTaxonomy::Build(grid, 4).value();
+  std::vector<UserRecord> users =
+      AssignSpecs(taxonomy, dataset.ToCells(grid), SafeRegionsS2(),
+                  EpsilonsE2(), 2016)
+          .value();
+  return {std::move(taxonomy), std::move(users)};
+}
+
+/// Registers every user's spec straight into the engine: these tests time
+/// the seals, not the uploads.
+void RegisterAll(EpochEngine* engine, const std::vector<UserRecord>& users) {
+  for (uint64_t i = 0; i < users.size(); ++i) {
+    SpecUploadMsg msg;
+    msg.safe_region = users[i].spec.safe_region;
+    msg.epsilon = users[i].spec.epsilon;
+    ASSERT_EQ(engine->RegisterSpec(i, msg), SpecOutcome::kAccepted);
+  }
+}
+
+double MillisSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+constexpr uint8_t kSealingPhase =
+    static_cast<uint8_t>(EpochEngine::Phase::kSealing);
+
 TEST(NetLoopbackTest, StatsFrameIsConsistentAcrossTheEpoch) {
   const SpatialTaxonomy tax = MakeTaxonomy();
   const size_t n = 100;
@@ -407,6 +458,285 @@ TEST(NetLoopbackTest, StopMidEpochLeavesRestorableCheckpoint) {
   const double total =
       std::accumulate(estimates->begin(), estimates->end(), 0.0);
   EXPECT_NEAR(total, static_cast<double>(n), 1e-6);
+}
+
+// The gate for a daemon that never goes dark: while a checkin-sized
+// SealSpecs runs, a second connection's stats frames answer within 50 ms,
+// some of them with phase sealing, and so does /status on the admin
+// endpoint.
+TEST(NetLoopbackTest, StatsAndStatusAnswerDuringACheckinSizedSpecSeal) {
+  const CheckinCohort cohort = MakeCheckinCohort();
+  EpochEngineOptions engine_options;
+  engine_options.psda.beta = 0.1;
+  engine_options.psda.seed = 2016;
+  EpochEngine engine(&cohort.taxonomy, engine_options);
+  RegisterAll(&engine, cohort.users);
+  NetServerOptions server_options;
+  server_options.io_threads = 1;
+  NetServer server(&engine, server_options);
+  ASSERT_TRUE(server.Start().ok());
+  AdminServer admin(AdminServerOptions{}, [&server] {
+    return RenderStatusJson(server.ServiceStats());
+  });
+  ASSERT_TRUE(admin.Start().ok());
+
+  NetClient sealer;
+  NetClient probe;
+  ASSERT_TRUE(sealer.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(probe.Connect("127.0.0.1", server.port()).ok());
+  std::atomic<bool> sealed{false};
+  Status seal_status;
+  std::thread seal([&] {
+    seal_status = sealer.SealSpecs(cohort.users.size()).status();
+    sealed.store(true, std::memory_order_release);
+  });
+
+  double max_ms = 0.0;
+  int sealing_answers = 0;
+  std::string status_phase;
+  while (!sealed.load(std::memory_order_acquire)) {
+    const auto sent = std::chrono::steady_clock::now();
+    const auto stats = probe.FetchStats();
+    if (!stats.ok()) {
+      ADD_FAILURE() << stats.status();
+      break;
+    }
+    max_ms = std::max(max_ms, MillisSince(sent));
+    if (stats->phase == kSealingPhase) {
+      ++sealing_answers;
+      if (status_phase != "sealing") {
+        const auto doc = HttpGet("127.0.0.1", admin.port(), "/status");
+        const auto parsed = obs::ParseJson(doc.ok() ? doc->body : "");
+        status_phase = parsed.ok() ? parsed->StringOr("phase", "") : "";
+      }
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  seal.join();
+  ASSERT_TRUE(seal_status.ok()) << seal_status;
+  EXPECT_GT(sealing_answers, 0);
+  EXPECT_LE(max_ms, 50.0);
+  EXPECT_EQ(status_phase, "sealing");
+  admin.Stop();
+  server.Stop();
+}
+
+// Frames from a second connection while a seal runs: spec uploads are
+// refused, reports are refused as wrong-phase during the spec seal and late
+// during the epoch seal, row requests and estimate fetches fail with
+// FailedPrecondition, and stats and drain are answered.
+TEST(NetLoopbackTest, SecondConnectionVerdictsWhileSealing) {
+  const CheckinCohort cohort = MakeCheckinCohort();
+  const uint64_t n = cohort.users.size();
+  const std::string dir = ::testing::TempDir() + "/pldp_net_sealing_verdicts";
+  std::filesystem::remove_all(dir);
+  EpochEngineOptions engine_options;
+  engine_options.psda.beta = 0.1;
+  engine_options.psda.seed = 2016;
+  // The final snapshot lengthens the epoch seal.
+  engine_options.checkpoint.dir = dir;
+  EpochEngine engine(&cohort.taxonomy, engine_options);
+  RegisterAll(&engine, cohort.users);
+  NetServer server(&engine, NetServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  NetClient sealer;
+  NetClient other;
+  ASSERT_TRUE(sealer.Connect("127.0.0.1", server.port()).ok());
+  ASSERT_TRUE(other.Connect("127.0.0.1", server.port()).ok());
+
+  // Runs `seal` on its own connection and probes `other` once it reports
+  // sealing; the last stats frame proves every probe answered mid-seal.
+  const auto probe_while = [&](const std::function<Status()>& seal,
+                               ReportOutcome report_verdict) {
+    std::atomic<bool> done{false};
+    Status seal_status;
+    std::thread sealing([&] {
+      seal_status = seal();
+      done.store(true, std::memory_order_release);
+    });
+    bool seen = false;
+    while (!seen && !done.load(std::memory_order_acquire)) {
+      const auto stats = other.FetchStats();
+      seen = stats.ok() && stats->phase == kSealingPhase;
+    }
+    SpecUploadMsg msg;
+    msg.safe_region = cohort.users[0].spec.safe_region;
+    msg.epsilon = cohort.users[0].spec.epsilon;
+    const auto spec = other.UploadSpec(n, msg);
+    const auto report = other.SubmitReport(0, ReportMsg{});
+    const auto row = other.FetchAssignment(0);
+    const auto estimates = other.FetchEstimates();
+    const Status drained = other.Drain();
+    const auto stats = other.FetchStats();
+    sealing.join();
+    EXPECT_TRUE(seal_status.ok()) << seal_status;
+    ASSERT_TRUE(seen) << "no stats frame reported sealing";
+    ASSERT_TRUE(stats.ok()) << stats.status();
+    ASSERT_EQ(stats->phase, kSealingPhase)
+        << "the seal ended before the probes were answered";
+    ASSERT_TRUE(spec.ok()) << spec.status();
+    EXPECT_FALSE(*spec);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(*report, report_verdict);
+    EXPECT_EQ(row.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_EQ(estimates.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_TRUE(drained.ok()) << drained;
+  };
+
+  probe_while([&] { return sealer.SealSpecs(n).status(); },
+              ReportOutcome::kWrongPhase);
+  for (uint64_t i = 0; i < n; ++i) {
+    ReportMsg report;
+    report.positive = i % 3 == 0;
+    ASSERT_EQ(engine.SubmitReport(i, report), ReportOutcome::kAccepted);
+  }
+  probe_while([&] { return sealer.SealEpoch().status(); },
+              ReportOutcome::kLate);
+  EXPECT_EQ(engine.phase(), EpochEngine::Phase::kPublished);
+  server.Stop();
+  std::filesystem::remove_all(dir);
+}
+
+// With introspection on, each seal is timed once, on the seal thread, from
+// its queueing to its ack: one sample in its ingest-latency histogram and
+// one frame.ingest event per seal, after a phase.sealing event.
+TEST(NetLoopbackTest, EachSealIsTimedOnce) {
+  auto& recorder = obs::FlightRecorder::Global();
+  recorder.Enable(4096);
+  recorder.Reset();
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.set_enabled(true);
+  const auto histogram_count = [&registry](const char* name) {
+    return registry.GetHistogram(name, obs::ExponentialBounds(0.001, 2.0, 18))
+        ->Count();
+  };
+  const uint64_t specs_before =
+      histogram_count("net.ingest_latency_seal_specs_ms");
+  const uint64_t epoch_before =
+      histogram_count("net.ingest_latency_seal_epoch_ms");
+
+  const SpatialTaxonomy tax = MakeTaxonomy();
+  const size_t n = 100;
+  const Cohort cohort = MakeCohort(tax, n, 19);
+  EpochEngineOptions engine_options;
+  engine_options.psda.seed = 19;
+  EpochEngine engine(&tax, engine_options);
+  NetServer server(&engine, NetServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  NetClient conn;
+  ASSERT_TRUE(conn.Connect("127.0.0.1", server.port()).ok());
+  UploadSpecsOver(&conn, cohort, 0, n);
+  ASSERT_TRUE(conn.SealSpecs(n).ok());
+  ASSERT_TRUE(conn.SealEpoch().ok());
+  server.Stop();
+  registry.set_enabled(false);
+
+  EXPECT_EQ(histogram_count("net.ingest_latency_seal_specs_ms"),
+            specs_before + 1);
+  EXPECT_EQ(histogram_count("net.ingest_latency_seal_epoch_ms"),
+            epoch_before + 1);
+  int sealing_events = 0;
+  int seal_ingests = 0;
+  for (const obs::FlightEvent& event : recorder.Snapshot()) {
+    const std::string label = event.label;
+    if (label == "phase.sealing") ++sealing_events;
+    if (label == "frame.ingest" &&
+        (event.a0 == static_cast<uint64_t>(FrameType::kSealSpecs) ||
+         event.a0 == static_cast<uint64_t>(FrameType::kSealEpoch))) {
+      ++seal_ingests;
+    }
+  }
+  recorder.Disable();
+  EXPECT_EQ(sealing_events, 2);
+  EXPECT_EQ(seal_ingests, 2);
+}
+
+// A seal pauses only its own connection's later frames: row requests
+// pipelined behind SealSpecs, some in the seal's own write and some after
+// it, are answered after the seal's ack, with the sealed assignments.
+TEST(NetLoopbackTest, RowRequestsPipelinedBehindSealSpecsFollowItsAck) {
+  const SpatialTaxonomy tax = MakeTaxonomy();
+  const size_t n = 300;
+  const Cohort cohort = MakeCohort(tax, n, 17);
+  EpochEngineOptions engine_options;
+  engine_options.psda.seed = 17;
+  EpochEngine engine(&tax, engine_options);
+  NetServer server(&engine, NetServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  NetClient conn;
+  ASSERT_TRUE(conn.Connect("127.0.0.1", server.port()).ok());
+  UploadSpecsOver(&conn, cohort, 0, n);
+
+  std::vector<uint8_t> burst =
+      EncodeFrame(FrameType::kSealSpecs, EncodeSealSpecsBody(n));
+  for (size_t i = 0; i < n / 2; ++i) {
+    const std::vector<uint8_t> frame =
+        EncodeFrame(FrameType::kRowRequest, EncodeRowRequestBody(i));
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(conn.SendRaw(burst).ok());
+  for (size_t i = n / 2; i < n; ++i) {
+    ASSERT_TRUE(conn.SendRowRequestNoWait(i).ok());
+  }
+  const auto ack = conn.ReadSealSpecsAck();
+  ASSERT_TRUE(ack.ok()) << ack.status();
+  EXPECT_EQ(ack->spec_responders, static_cast<uint64_t>(n));
+  for (size_t i = 0; i < n; ++i) {
+    const auto assignment = conn.ReadAssignment();
+    ASSERT_TRUE(assignment.ok()) << "user " << i << ": "
+                                 << assignment.status();
+    const auto expected = engine.Assignment(i);
+    ASSERT_TRUE(expected.ok());
+    EXPECT_EQ(assignment->Serialize(), expected->Serialize()) << "user " << i;
+  }
+  server.Stop();
+}
+
+// Stop() right after a SealEpoch frame, without waiting for its ack: a seal
+// in flight finishes and a queued one is dropped, so the engine ends
+// published or still collecting reports, never sealing. Either way the CLI's
+// SIGTERM sequence (Stop(), then Checkpoint() while collecting) leaves a
+// snapshot a fresh engine restores.
+TEST(NetLoopbackTest, StopRightAfterSealEpochNeverStrandsASeal) {
+  const SpatialTaxonomy tax = MakeTaxonomy();
+  const size_t n = 300;
+  const uint64_t seed = 66;
+  const Cohort cohort = MakeCohort(tax, n, seed);
+  const std::string dir = ::testing::TempDir() + "/pldp_net_stop_sealing";
+  std::filesystem::remove_all(dir);
+  EpochEngineOptions engine_options;
+  engine_options.psda.seed = seed;
+  engine_options.epoch = 3;
+  engine_options.checkpoint.dir = dir;
+
+  EpochEngine engine(&tax, engine_options);
+  NetServer server(&engine, NetServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  NetClient conn;
+  ASSERT_TRUE(conn.Connect("127.0.0.1", server.port()).ok());
+  UploadSpecsOver(&conn, cohort, 0, n);
+  ASSERT_TRUE(conn.SealSpecs(n).ok());
+  std::vector<DeviceClient> devices = MakeClients(tax, cohort, seed);
+  ReportOver(&conn, &devices, 0, n / 2);
+  const uint64_t received = server.stats().frames_received;
+  ASSERT_TRUE(conn.SendRaw(EncodeFrame(FrameType::kSealEpoch, {})).ok());
+  for (int i = 0; i < 1000 && server.stats().frames_received == received;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  }
+  server.Stop();
+
+  const EpochEngine::Phase phase = engine.phase();
+  EXPECT_TRUE(phase == EpochEngine::Phase::kCollectingReports ||
+              phase == EpochEngine::Phase::kPublished)
+      << static_cast<int>(phase);
+  if (phase == EpochEngine::Phase::kCollectingReports) {
+    ASSERT_TRUE(engine.Checkpoint().ok());
+  }
+  EpochEngine restored(&tax, engine_options);
+  ASSERT_TRUE(restored.RestoreLatest().ok());
+  EXPECT_EQ(restored.stats().restored_reports, static_cast<uint64_t>(n / 2));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -303,9 +303,13 @@ TEST(NetWireTest, StatsBodyRejectsMalformedInput) {
   truncated.resize(truncated.size() - 1);
   EXPECT_FALSE(ParseStatsBody(truncated).ok());
 
-  // Out-of-range phase (only 0..2 exist) and draining (a boolean).
+  // Out-of-range phase (only 0..3 exist; 3 is sealing) and draining (a
+  // boolean).
+  auto sealing = body;
+  sealing[0] = 3;
+  EXPECT_TRUE(ParseStatsBody(sealing).ok());
   auto bad_phase = body;
-  bad_phase[0] = 3;
+  bad_phase[0] = 4;
   EXPECT_FALSE(ParseStatsBody(bad_phase).ok());
   auto bad_draining = body;
   bad_draining[1] = 2;

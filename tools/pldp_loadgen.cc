@@ -507,6 +507,8 @@ class ProgressMonitor {
         return "collecting_reports";
       case 2:
         return "published";
+      case 3:
+        return "sealing";
     }
     return "unknown";
   }
