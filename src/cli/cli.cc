@@ -1,5 +1,6 @@
 #include "cli/cli.h"
 
+#include <atomic>
 #include <chrono>
 #include <csignal>
 #include <iomanip>
@@ -378,17 +379,21 @@ Status WriteCliMetrics(const CliOptions& options, std::ostream& out) {
   return status;
 }
 
-/// Set by the SIGTERM/SIGINT handler while `serve` runs; the serve loop
-/// polls it (async-signal-safe: the handler only stores a flag).
-volatile std::sig_atomic_t g_serve_stop = 0;
+/// A handler may run on any thread while the serve loop reads its flag on
+/// another, so the flags are atomics; lock-free ones are async-signal-safe.
+static_assert(std::atomic<bool>::is_always_lock_free);
 
-void HandleServeSignal(int) { g_serve_stop = 1; }
+/// Set by the SIGTERM/SIGINT handler while `serve` runs; the serve loop
+/// polls it (the handler only stores a flag).
+std::atomic<bool> g_serve_stop{false};
+
+void HandleServeSignal(int) { g_serve_stop.store(true); }
 
 /// Set by the SIGUSR1 handler; the serve loop performs the actual flight
 /// recorder dump (file I/O never happens in the handler).
-volatile std::sig_atomic_t g_serve_dump = 0;
+std::atomic<bool> g_serve_dump{false};
 
-void HandleDumpSignal(int) { g_serve_dump = 1; }
+void HandleDumpSignal(int) { g_serve_dump.store(true); }
 
 Status RunServeCommand(const CliOptions& options, std::ostream& out) {
   PLDP_ASSIGN_OR_RETURN(Dataset dataset, LoadCliDataset(options));
@@ -429,8 +434,8 @@ Status RunServeCommand(const CliOptions& options, std::ostream& out) {
 
   // Handlers go in before the listening banner: anything scripting the
   // daemon keys on that line, and may signal immediately after seeing it.
-  g_serve_stop = 0;
-  g_serve_dump = 0;
+  g_serve_stop.store(false);
+  g_serve_dump.store(false);
   void (*prev_term)(int) = std::signal(SIGTERM, HandleServeSignal);
   void (*prev_int)(int) = std::signal(SIGINT, HandleServeSignal);
   void (*prev_usr1)(int) = std::signal(SIGUSR1, HandleDumpSignal);
@@ -493,7 +498,7 @@ Status RunServeCommand(const CliOptions& options, std::ostream& out) {
     }
   };
 
-  while (g_serve_stop == 0) {
+  while (!g_serve_stop.load()) {
     if (options.serve_once &&
         engine.phase() == net::EpochEngine::Phase::kPublished) {
       // The client that sealed still has to fetch the estimates: stay up
@@ -504,8 +509,7 @@ Status RunServeCommand(const CliOptions& options, std::ostream& out) {
         break;
       }
     }
-    if (g_serve_dump != 0) {
-      g_serve_dump = 0;
+    if (g_serve_dump.exchange(false)) {
       dump_flight("SIGUSR1");
     }
     if (recorder.ConsumeDumpRequest()) {
@@ -515,7 +519,7 @@ Status RunServeCommand(const CliOptions& options, std::ostream& out) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  const bool interrupted = g_serve_stop != 0;
+  const bool interrupted = g_serve_stop.load();
   restore_signals();
   if (admin) admin->Stop();
   server.Stop();
@@ -625,16 +629,16 @@ Status RunStatCommand(const CliOptions& options, std::ostream& out) {
 
   // Watch mode: re-render every --watch seconds over the same connection,
   // differencing reports_staged into a live rate. Ctrl-C exits cleanly.
-  g_serve_stop = 0;
+  g_serve_stop.store(false);
   void (*prev_int)(int) = std::signal(SIGINT, HandleServeSignal);
   uint64_t prev_staged = stats.reports_staged;
   Status status = Status::OK();
-  while (g_serve_stop == 0) {
+  while (!g_serve_stop.load()) {
     for (uint32_t waited = 0;
-         waited < options.watch * 10u && g_serve_stop == 0; ++waited) {
+         waited < options.watch * 10u && !g_serve_stop.load(); ++waited) {
       std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
-    if (g_serve_stop != 0) break;
+    if (g_serve_stop.load()) break;
     const StatusOr<net::StatsBody> next = client.FetchStats();
     if (!next.ok()) {
       status = next.status();

@@ -13,10 +13,31 @@
 namespace pldp {
 namespace net {
 
+namespace {
+
+/// Writes all of `data`. MSG_NOSIGNAL turns a write to a connection the
+/// peer closed into EPIPE instead of a process-killing SIGPIPE.
+Status SendAll(int fd, const uint8_t* data, size_t size, const char* what) {
+  size_t sent = 0;
+  while (sent < size) {
+    const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return Status::IoError(std::string(what) + ": " + strerror(errno));
+    }
+    sent += static_cast<size_t>(n);
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 NetClient::~NetClient() { Close(); }
 
 NetClient::NetClient(NetClient&& other) noexcept
-    : fd_(other.fd_), decoder_(std::move(other.decoder_)) {
+    : fd_(other.fd_),
+      out_(std::move(other.out_)),
+      decoder_(std::move(other.decoder_)) {
   other.fd_ = -1;
 }
 
@@ -24,6 +45,7 @@ NetClient& NetClient::operator=(NetClient&& other) noexcept {
   if (this != &other) {
     Close();
     fd_ = other.fd_;
+    out_ = std::move(other.out_);
     decoder_ = std::move(other.decoder_);
     other.fd_ = -1;
   }
@@ -32,10 +54,21 @@ NetClient& NetClient::operator=(NetClient&& other) noexcept {
 
 void NetClient::Close() {
   if (fd_ >= 0) {
+    Flush();  // best effort: the connection goes either way
     ::close(fd_);
     fd_ = -1;
   }
+  out_.clear();
   decoder_ = FrameDecoder(/*expect_magic=*/false);
+}
+
+Status NetClient::Flush() {
+  if (fd_ < 0) return Status::FailedPrecondition("client is not connected");
+  if (out_.empty()) return Status::OK();
+  // On failure the stream is broken mid-frame, so nothing is kept to retry.
+  const Status written = SendAll(fd_, out_.data(), out_.size(), "frame write");
+  out_.clear();
+  return written;
 }
 
 Status NetClient::Connect(const std::string& host, uint16_t port) {
@@ -62,36 +95,18 @@ Status NetClient::Connect(const std::string& host, uint16_t port) {
   ::setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
   // The connection opens with the protocol magic.
-  size_t sent = 0;
-  while (sent < kNetMagicLen) {
-    const ssize_t n = ::write(
-        fd_, reinterpret_cast<const uint8_t*>(kNetMagic) + sent,
-        kNetMagicLen - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string err = strerror(errno);
-      Close();
-      return Status::IoError("magic write: " + err);
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
+  const Status magic =
+      SendAll(fd_, reinterpret_cast<const uint8_t*>(kNetMagic), kNetMagicLen,
+              "magic write");
+  if (!magic.ok()) Close();
+  return magic;
 }
 
 Status NetClient::SendFrame(FrameType type, const std::vector<uint8_t>& body) {
   if (fd_ < 0) return Status::FailedPrecondition("client is not connected");
   const std::vector<uint8_t> encoded = EncodeFrame(type, body);
-  size_t sent = 0;
-  while (sent < encoded.size()) {
-    const ssize_t n =
-        ::write(fd_, encoded.data() + sent, encoded.size() - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("frame write: ") + strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
+  out_.insert(out_.end(), encoded.begin(), encoded.end());
+  return out_.size() >= kIoChunk ? Flush() : Status::OK();
 }
 
 StatusOr<Frame> NetClient::ReadFrame() {
@@ -102,6 +117,8 @@ StatusOr<Frame> NetClient::ReadFrame() {
     if (frame.status().code() != StatusCode::kNotFound) {
       return frame.status();  // poisoned stream
     }
+    // No reply is buffered, and the frames it answers may still be here.
+    PLDP_RETURN_IF_ERROR(Flush());
     uint8_t buf[16 * 1024];
     const ssize_t n = ::read(fd_, buf, sizeof(buf));
     if (n > 0) {
@@ -179,16 +196,8 @@ StatusOr<RowAssignmentMsg> NetClient::ReadAssignment() {
 
 Status NetClient::SendRaw(const std::vector<uint8_t>& bytes) {
   if (fd_ < 0) return Status::FailedPrecondition("client is not connected");
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    const ssize_t n = ::write(fd_, bytes.data() + sent, bytes.size() - sent);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("raw write: ") + strerror(errno));
-    }
-    sent += static_cast<size_t>(n);
-  }
-  return Status::OK();
+  out_.insert(out_.end(), bytes.begin(), bytes.end());
+  return Flush();
 }
 
 StatusOr<ReportOutcome> NetClient::SubmitReport(uint64_t user_id,

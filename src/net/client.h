@@ -17,6 +17,20 @@ namespace net {
 /// instance (connection reuse), and the pipelined report path keeps a window
 /// of frames in flight so throughput is not bound by one RTT per report.
 ///
+/// Every frame goes into one per-connection write buffer, and the kernel
+/// gets the buffer in one write per window rather than one per frame. The
+/// buffer is flushed:
+///  - before a blocking read that finds no complete reply buffered, so a
+///    caller never waits on replies to frames it still holds;
+///  - when it reaches kIoChunk bytes (one daemon read);
+///  - by SendRaw, whose bytes go after the buffered frames;
+///  - by Flush(), and best effort by Close().
+/// So a blocking call still costs one write and one read. A failed write
+/// comes back from the call that flushed: a blocking call or Read*,
+/// Flush(), SendRaw, or the *NoWait call that filled the buffer. Every
+/// write is a send() with MSG_NOSIGNAL, so a connection the daemon closed
+/// yields IoError, never SIGPIPE.
+///
 /// Not thread-safe; each worker thread owns its own connection.
 class NetClient {
  public:
@@ -32,14 +46,23 @@ class NetClient {
   Status Connect(const std::string& host, uint16_t port);
 
   bool connected() const { return fd_ >= 0; }
+  /// Flushes buffered frames (best effort: a write error is dropped), then
+  /// closes the connection.
   void Close();
+
+  /// Hands every buffered frame to the kernel.
+  Status Flush();
 
   /// Uploads one user's spec; true when the server accepted (or already had)
   /// it.
   StatusOr<bool> UploadSpec(uint64_t user_id, const SpecUploadMsg& msg);
 
-  /// Pipelined spec upload: send without waiting, balance with ReadSpecAck()
-  /// (acks arrive in send order, like the report path).
+  /// Pipelined spec upload: buffer without waiting, balance with
+  /// ReadSpecAck() (acks arrive in send order, like the report path).
+  ///
+  /// Every *NoWait call returns OK unless its frame filled the buffer and
+  /// the flush that followed failed; a write error of the frames it only
+  /// buffered comes back from whichever call flushes them.
   Status SendSpecNoWait(uint64_t user_id, const SpecUploadMsg& msg);
   StatusOr<bool> ReadSpecAck();
 
@@ -47,7 +70,7 @@ class NetClient {
   /// carried Status.
   StatusOr<SealSpecsAckBody> SealSpecs(uint64_t cohort_size);
 
-  /// Pipelined spec seal: send without waiting, balance with
+  /// Pipelined spec seal: buffer without waiting, balance with
   /// ReadSealSpecsAck().
   Status SendSealSpecsNoWait(uint64_t cohort_size);
   StatusOr<SealSpecsAckBody> ReadSealSpecsAck();
@@ -55,19 +78,20 @@ class NetClient {
   /// Fetches one user's row assignment.
   StatusOr<RowAssignmentMsg> FetchAssignment(uint64_t user_id);
 
-  /// Pipelined assignment fetch: send without waiting, balance with
+  /// Pipelined assignment fetch: buffer without waiting, balance with
   /// ReadAssignment().
   Status SendRowRequestNoWait(uint64_t user_id);
   StatusOr<RowAssignmentMsg> ReadAssignment();
 
-  /// Writes raw bytes onto the connection (fault injection in the loadgen:
-  /// deliberately corrupt frames the server must reject by closing).
+  /// Writes raw bytes onto the connection after the buffered frames, in one
+  /// flush (fault injection in the loadgen: deliberately corrupt frames the
+  /// server must reject by closing).
   Status SendRaw(const std::vector<uint8_t>& bytes);
 
   /// Sends one report and waits for its ack.
   StatusOr<ReportOutcome> SubmitReport(uint64_t user_id, const ReportMsg& msg);
 
-  /// Writes one report frame without waiting for the ack (pipelining).
+  /// Buffers one report frame without waiting for the ack (pipelining).
   /// Balance every call with ReadReportAck(); acks arrive in send order.
   Status SendReportNoWait(uint64_t user_id, const ReportMsg& msg);
   StatusOr<ReportOutcome> ReadReportAck();
@@ -86,10 +110,11 @@ class NetClient {
   Status Drain();
 
  private:
-  /// Sends one encoded frame (blocking until fully written).
+  /// Buffers one encoded frame; flushes once the buffer reaches kIoChunk.
   Status SendFrame(FrameType type, const std::vector<uint8_t>& body);
 
-  /// Reads until one complete frame is decoded.
+  /// Reads until one complete frame is decoded, flushing first when none is
+  /// buffered.
   StatusOr<Frame> ReadFrame();
 
   /// Reads one frame and requires `expected`; a kError frame is unwrapped
@@ -97,6 +122,8 @@ class NetClient {
   StatusOr<Frame> ReadExpected(FrameType expected);
 
   int fd_ = -1;
+  /// Frames not yet handed to the kernel.
+  std::vector<uint8_t> out_;
   /// Server->client streams carry no magic, hence expect_magic = false.
   FrameDecoder decoder_{/*expect_magic=*/false};
 };

@@ -31,7 +31,6 @@ namespace {
 constexpr unsigned kDefaultIoThreads = 2;
 constexpr unsigned kMaxIoThreads = 64;
 constexpr int kEpollBatch = 64;
-constexpr size_t kReadChunk = 64 * 1024;
 
 obs::Counter* NetCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
@@ -152,6 +151,10 @@ struct NetServer::Connection {
   /// One of its seal frames is with the seal thread: the socket is not read
   /// and later frames wait in the decoder.
   bool paused = false;
+  /// The peer sent its FIN (or reset): the socket is not read again, and the
+  /// connection closes once its decoded frames are answered and `out` is
+  /// written.
+  bool peer_closed = false;
   /// A kEstimates frame is in `out`.
   bool estimates_queued = false;
 };
@@ -429,13 +432,11 @@ void NetServer::LoopMain(IoLoop* loop, bool is_acceptor) {
       const auto it = loop->conns.find(fd);
       if (it == loop->conns.end()) continue;  // already closed this batch
       Connection* conn = it->second.get();
+      // A reset comes with EPOLLIN: the frames read before it are still
+      // dispatched (their replies just fail), then the connection goes.
       bool alive = true;
-      if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        alive = false;
-      }
-      if (alive && (events[i].events & EPOLLIN)) {
-        alive = HandleReadable(loop, conn);
-      }
+      if (events[i].events & EPOLLIN) alive = HandleReadable(loop, conn);
+      if (events[i].events & (EPOLLHUP | EPOLLERR)) alive = false;
       if (alive && (events[i].events & EPOLLOUT)) {
         alive = FlushWrites(loop, conn);
       }
@@ -489,7 +490,7 @@ void NetServer::ResumeSealed(IoLoop* loop) {
 bool NetServer::HandleReadable(IoLoop* loop, Connection* conn) {
   static obs::Counter* rx_bytes = NetCounter("net.bytes_received");
 
-  uint8_t buf[kReadChunk];
+  uint8_t buf[kIoChunk];
   while (true) {
     const ssize_t n = ::read(conn->fd, buf, sizeof(buf));
     if (n > 0) {
@@ -499,10 +500,11 @@ bool NetServer::HandleReadable(IoLoop* loop, Connection* conn) {
       conn->decoder.Feed(buf, static_cast<size_t>(n));
       continue;
     }
-    if (n == 0) return false;  // peer closed
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    if (errno == EINTR) continue;
-    return false;
+    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (n < 0 && errno == EINTR) continue;
+    // EOF or a read error: the frames that came before it still count.
+    conn->peer_closed = true;
+    break;
   }
   return DispatchFrames(loop, conn);
 }
@@ -653,9 +655,11 @@ void NetServer::QueueFrame(Connection* conn, FrameType type,
 bool NetServer::FlushWrites(IoLoop* loop, Connection* conn) {
   static obs::Counter* tx_bytes = NetCounter("net.bytes_sent");
   while (conn->out_consumed < conn->out.size()) {
+    // MSG_NOSIGNAL: a peer that closed without reading must not raise
+    // SIGPIPE in the daemon's process.
     const ssize_t n =
-        ::write(conn->fd, conn->out.data() + conn->out_consumed,
-                conn->out.size() - conn->out_consumed);
+        ::send(conn->fd, conn->out.data() + conn->out_consumed,
+               conn->out.size() - conn->out_consumed, MSG_NOSIGNAL);
     if (n > 0) {
       bytes_sent_.fetch_add(static_cast<uint64_t>(n),
                             std::memory_order_relaxed);
@@ -674,6 +678,8 @@ bool NetServer::FlushWrites(IoLoop* loop, Connection* conn) {
       conn->estimates_queued = false;
       estimates_sent_.fetch_add(1, std::memory_order_relaxed);
     }
+    // A half-closed peer has had every answer: the connection is done.
+    if (conn->peer_closed && !conn->paused) return false;
   }
   UpdateInterest(loop, conn);
   return true;
@@ -681,9 +687,11 @@ bool NetServer::FlushWrites(IoLoop* loop, Connection* conn) {
 
 void NetServer::UpdateInterest(IoLoop* loop, Connection* conn) {
   // Epoll here is level-triggered: a paused connection that kept EPOLLIN
-  // would wake the loop for its unread bytes on every epoll_wait.
+  // would wake the loop for its unread bytes on every epoll_wait, and a
+  // half-closed one for its EOF.
   const uint32_t events =
-      (conn->paused ? 0u : static_cast<uint32_t>(EPOLLIN)) |
+      (conn->paused || conn->peer_closed ? 0u
+                                         : static_cast<uint32_t>(EPOLLIN)) |
       (conn->out.empty() ? 0u : static_cast<uint32_t>(EPOLLOUT));
   if (events == conn->events) return;
   epoll_event ev;

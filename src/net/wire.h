@@ -33,6 +33,11 @@ inline constexpr size_t kFrameHeaderLen = 8;  // fixed32 len + fixed32 crc
 /// covers regions of ~8M cells.
 inline constexpr uint64_t kMaxFramePayload = uint64_t{1} << 20;
 
+/// The daemon reads a connection in chunks of this size, and NetClient hands
+/// the kernel its buffered frames once they reach it, so one client write
+/// fits one daemon read.
+inline constexpr size_t kIoChunk = 64 * 1024;
+
 enum class FrameType : uint8_t {
   /// client -> server: varint user_id | SpecUploadMsg bytes.
   kSpecUpload = 1,

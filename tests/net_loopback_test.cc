@@ -1,9 +1,17 @@
 // Loopback integration of the aggregation daemon: a real NetServer on
 // 127.0.0.1 driven by real NetClient connections must publish estimates
 // bit-identical to the in-process AggregationServer over the same cohort,
-// reject corrupted streams by closing, keep answering while a seal runs, and
+// reject corrupted streams by closing, keep answering while a seal runs,
+// answer frames that arrive with a peer's FIN, survive peers that vanish, and
 // — stopped mid-epoch the way the CLI's SIGTERM handler does — leave a
-// checkpoint a fresh engine restores.
+// checkpoint a fresh engine restores. The client half checks when NetClient's
+// write buffer reaches the daemon.
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -737,6 +745,287 @@ TEST(NetLoopbackTest, StopRightAfterSealEpochNeverStrandsASeal) {
   ASSERT_TRUE(restored.RestoreLatest().ok());
   EXPECT_EQ(restored.stats().restored_reports, static_cast<uint64_t>(n / 2));
   std::filesystem::remove_all(dir);
+}
+
+// A blocking IPv4 socket connected to the daemon, for peers NetClient will
+// not imitate. Reads time out after 10 s so a missing reply fails the test
+// rather than hanging it.
+int ConnectRaw(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+    ::close(fd);
+    return -1;
+  }
+  timeval timeout{10, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  return fd;
+}
+
+bool SendAllRaw(int fd, const std::vector<uint8_t>& bytes) {
+  size_t sent = 0;
+  while (sent < bytes.size()) {
+    const ssize_t n = ::send(fd, bytes.data() + sent, bytes.size() - sent,
+                             MSG_NOSIGNAL);
+    if (n <= 0) return false;
+    sent += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+SpecUploadMsg RootSpec(const SpatialTaxonomy& tax) {
+  SpecUploadMsg msg;
+  msg.safe_region = tax.root();
+  msg.epsilon = 1.0;
+  return msg;
+}
+
+// Polls `done` every millisecond for up to five seconds.
+bool WaitFor(const std::function<bool()>& done) {
+  for (int i = 0; i < 5000; ++i) {
+    if (done()) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return done();
+}
+
+// A peer that writes its frames and its FIN back to back, then reads: every
+// frame is dispatched and answered before the daemon closes. A daemon that
+// closed on EOF before dispatching registered none of them.
+TEST(NetLoopbackTest, FramesThatArriveWithTheFinAreAnswered) {
+  const SpatialTaxonomy tax = MakeTaxonomy();
+  EpochEngineOptions engine_options;
+  engine_options.psda.seed = 21;
+  EpochEngine engine(&tax, engine_options);
+  NetServerOptions server_options;
+  server_options.io_threads = 1;
+  NetServer server(&engine, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kRounds = 5;
+  constexpr uint64_t kSpecs = 10;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<uint8_t> stream(kNetMagic, kNetMagic + kNetMagicLen);
+    for (uint64_t i = 0; i < kSpecs; ++i) {
+      const std::vector<uint8_t> frame =
+          EncodeFrame(FrameType::kSpecUpload,
+                      EncodeSpecUploadBody(round * kSpecs + i, RootSpec(tax)));
+      stream.insert(stream.end(), frame.begin(), frame.end());
+    }
+    const int fd = ConnectRaw(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(SendAllRaw(fd, stream));
+    ASSERT_EQ(::shutdown(fd, SHUT_WR), 0);
+
+    FrameDecoder replies(/*expect_magic=*/false);
+    uint8_t buf[4096];
+    ssize_t n;
+    while ((n = ::read(fd, buf, sizeof(buf))) > 0) {
+      replies.Feed(buf, static_cast<size_t>(n));
+    }
+    EXPECT_EQ(n, 0) << "the daemon should close after its last reply";
+    ::close(fd);
+    uint64_t acks = 0;
+    for (StatusOr<Frame> frame = replies.Next(); frame.ok();
+         frame = replies.Next()) {
+      EXPECT_EQ(frame->type, FrameType::kSpecAck);
+      EXPECT_EQ(frame->body, std::vector<uint8_t>{1});
+      ++acks;
+    }
+    EXPECT_EQ(acks, kSpecs) << "round " << round;
+  }
+  server.Stop();
+  EXPECT_EQ(engine.stats().specs_accepted, kRounds * kSpecs);
+  EXPECT_EQ(server.stats().frame_errors, 0u);
+}
+
+// Sending on a connection the daemon closed returns an error every time; no
+// SIGPIPE ends the process, which in these tests also hosts the daemon.
+TEST(NetLoopbackTest, SendsAfterTheDaemonClosedFailWithoutSigpipe) {
+  const SpatialTaxonomy tax = MakeTaxonomy();
+  EpochEngineOptions engine_options;
+  engine_options.psda.seed = 22;
+  EpochEngine engine(&tax, engine_options);
+  NetServer server(&engine, NetServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  NetClient conn;
+  ASSERT_TRUE(conn.Connect("127.0.0.1", server.port()).ok());
+  std::vector<uint8_t> frame =
+      EncodeFrame(FrameType::kRowRequest, EncodeRowRequestBody(1));
+  frame.back() ^= 0x04;
+  ASSERT_TRUE(conn.SendRaw(frame).ok());
+  EXPECT_FALSE(conn.ReadAssignment().ok());
+  for (uint64_t i = 0; i < 20; ++i) {
+    EXPECT_FALSE(conn.UploadSpec(i, RootSpec(tax)).ok()) << "send " << i;
+  }
+  server.Stop();
+  EXPECT_EQ(engine.stats().specs_accepted, 0u);
+}
+
+// A peer that bursts spec frames and closes without reading its acks resets
+// the connection, often while the daemon still reads the burst. The daemon
+// answers what it read, gets EPIPE rather than SIGPIPE on the dead socket,
+// drops the connection and serves the next one.
+TEST(NetLoopbackTest, DaemonSurvivesAPeerThatClosesWithoutReading) {
+  const SpatialTaxonomy tax = MakeTaxonomy();
+  EpochEngineOptions engine_options;
+  engine_options.psda.seed = 23;
+  EpochEngine engine(&tax, engine_options);
+  NetServerOptions server_options;
+  server_options.io_threads = 1;
+  NetServer server(&engine, server_options);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kRounds = 3;
+  constexpr uint64_t kBurst = 200000;
+  std::vector<uint8_t> stream(kNetMagic, kNetMagic + kNetMagicLen);
+  for (uint64_t i = 0; i < kBurst; ++i) {
+    const std::vector<uint8_t> frame = EncodeFrame(
+        FrameType::kSpecUpload, EncodeSpecUploadBody(i, RootSpec(tax)));
+    stream.insert(stream.end(), frame.begin(), frame.end());
+  }
+  for (int round = 0; round < kRounds; ++round) {
+    const int fd = ConnectRaw(server.port());
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(SendAllRaw(fd, stream));
+    ::close(fd);
+
+    NetClient next;
+    ASSERT_TRUE(next.Connect("127.0.0.1", server.port()).ok());
+    const auto stats = next.FetchStats();
+    ASSERT_TRUE(stats.ok()) << "round " << round << ": " << stats.status();
+    const auto accepted = next.UploadSpec(kBurst + round, RootSpec(tax));
+    ASSERT_TRUE(accepted.ok()) << accepted.status();
+    EXPECT_TRUE(*accepted);
+  }
+  server.Stop();
+  EXPECT_EQ(server.stats().frame_errors, 0u);
+}
+
+// *NoWait frames stay in the client until a flush point: the daemon counts
+// none of them until Flush(), then all of them.
+TEST(NetLoopbackTest, NoWaitFramesWaitForAFlush) {
+  const SpatialTaxonomy tax = MakeTaxonomy();
+  EpochEngineOptions engine_options;
+  engine_options.psda.seed = 24;
+  EpochEngine engine(&tax, engine_options);
+  NetServer server(&engine, NetServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  NetClient conn;
+  ASSERT_TRUE(conn.Connect("127.0.0.1", server.port()).ok());
+  constexpr uint64_t kFrames = 10;
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    ASSERT_TRUE(conn.SendSpecNoWait(i, RootSpec(tax)).ok());
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(server.stats().frames_received, 0u);
+
+  ASSERT_TRUE(conn.Flush().ok());
+  EXPECT_TRUE(
+      WaitFor([&] { return server.stats().frames_received == kFrames; }))
+      << server.stats().frames_received;
+  for (uint64_t i = 0; i < kFrames; ++i) {
+    const auto accepted = conn.ReadSpecAck();
+    ASSERT_TRUE(accepted.ok()) << accepted.status();
+    EXPECT_TRUE(*accepted);
+  }
+  server.Stop();
+}
+
+// A buffer that reaches kIoChunk flushes itself: frames past one chunk reach
+// the daemon with no read and no Flush().
+TEST(NetLoopbackTest, NoWaitFramesPastOneChunkReachTheDaemonUnread) {
+  const SpatialTaxonomy tax = MakeTaxonomy();
+  EpochEngineOptions engine_options;
+  engine_options.psda.seed = 25;
+  EpochEngine engine(&tax, engine_options);
+  NetServer server(&engine, NetServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  NetClient conn;
+  ASSERT_TRUE(conn.Connect("127.0.0.1", server.port()).ok());
+  // Frames up to and including the one that fills the first chunk.
+  uint64_t chunk_frames = 0;
+  size_t bytes = 0;
+  while (bytes < kIoChunk) {
+    bytes += EncodeFrame(FrameType::kSpecUpload,
+                         EncodeSpecUploadBody(chunk_frames, RootSpec(tax)))
+                 .size();
+    ++chunk_frames;
+  }
+  const uint64_t sent = chunk_frames + chunk_frames / 2;
+  for (uint64_t i = 0; i < sent; ++i) {
+    ASSERT_TRUE(conn.SendSpecNoWait(i, RootSpec(tax)).ok());
+  }
+  EXPECT_TRUE(WaitFor(
+      [&] { return server.stats().frames_received >= chunk_frames; }))
+      << server.stats().frames_received << " of " << chunk_frames;
+  EXPECT_LT(server.stats().frames_received, sent);
+
+  for (uint64_t i = 0; i < sent; ++i) {
+    const auto accepted = conn.ReadSpecAck();
+    ASSERT_TRUE(accepted.ok()) << accepted.status();
+  }
+  server.Stop();
+  EXPECT_EQ(engine.stats().specs_accepted, sent);
+}
+
+// Close() flushes: specs that were only buffered are all registered.
+TEST(NetLoopbackTest, CloseDeliversBufferedSpecs) {
+  const SpatialTaxonomy tax = MakeTaxonomy();
+  EpochEngineOptions engine_options;
+  engine_options.psda.seed = 26;
+  EpochEngine engine(&tax, engine_options);
+  NetServer server(&engine, NetServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr uint64_t kSpecs = 100;
+  NetClient conn;
+  ASSERT_TRUE(conn.Connect("127.0.0.1", server.port()).ok());
+  for (uint64_t i = 0; i < kSpecs; ++i) {
+    ASSERT_TRUE(conn.SendSpecNoWait(i, RootSpec(tax)).ok());
+  }
+  conn.Close();
+  EXPECT_TRUE(
+      WaitFor([&] { return engine.stats().specs_accepted == kSpecs; }))
+      << engine.stats().specs_accepted;
+  server.Stop();
+}
+
+// SendRaw's bytes land after the frames already buffered: a spec seal sent
+// raw behind three buffered specs seals all three.
+TEST(NetLoopbackTest, SendRawLandsAfterBufferedFrames) {
+  const SpatialTaxonomy tax = MakeTaxonomy();
+  EpochEngineOptions engine_options;
+  engine_options.psda.seed = 27;
+  EpochEngine engine(&tax, engine_options);
+  NetServer server(&engine, NetServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+
+  NetClient conn;
+  ASSERT_TRUE(conn.Connect("127.0.0.1", server.port()).ok());
+  constexpr uint64_t kSpecs = 3;
+  for (uint64_t i = 0; i < kSpecs; ++i) {
+    ASSERT_TRUE(conn.SendSpecNoWait(i, RootSpec(tax)).ok());
+  }
+  ASSERT_TRUE(conn.SendRaw(EncodeFrame(FrameType::kSealSpecs,
+                                       EncodeSealSpecsBody(kSpecs)))
+                  .ok());
+  for (uint64_t i = 0; i < kSpecs; ++i) {
+    const auto accepted = conn.ReadSpecAck();
+    ASSERT_TRUE(accepted.ok()) << "spec " << i << ": " << accepted.status();
+    EXPECT_TRUE(*accepted);
+  }
+  const auto sealed = conn.ReadSealSpecsAck();
+  ASSERT_TRUE(sealed.ok()) << sealed.status();
+  EXPECT_EQ(sealed->spec_responders, kSpecs);
+  server.Stop();
 }
 
 }  // namespace

@@ -352,7 +352,8 @@ Status RunReportPhase(const LoadgenOptions& options, const SharedCohort& cohort,
     // Pipelined assignment fetch for the chunk. Responses are FIFO per
     // connection, so the previous chunk's outstanding report acks must be
     // drained before this chunk's assignments can be read (the row requests
-    // are already on the wire, keeping the server busy meanwhile).
+    // leave with the first read that finds no ack buffered, keeping the
+    // server busy meanwhile).
     for (uint64_t user = base; user < chunk_end; ++user) {
       PLDP_RETURN_IF_ERROR(client->SendRowRequestNoWait(user));
     }
@@ -434,6 +435,9 @@ Status RunReportPhase(const LoadgenOptions& options, const SharedCohort& cohort,
         pending.push_back({Clock::now(), true});
         ++result->dup_reports_sent;
       }
+      // A paced report leaves at its due time, not with the next flush of
+      // the client's write buffer.
+      if (interval.count() > 0) PLDP_RETURN_IF_ERROR(client->Flush());
       while (pending.size() >= options.window) {
         PLDP_RETURN_IF_ERROR(drain_one());
       }
