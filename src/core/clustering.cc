@@ -14,7 +14,8 @@
 namespace pldp {
 namespace {
 
-constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNegInf = -kInf;
 
 Cluster MakeSingletonCluster(const SpatialTaxonomy& taxonomy,
                              const std::vector<UserGroup>& groups,
@@ -41,7 +42,7 @@ Cluster MakeSingletonCluster(const SpatialTaxonomy& taxonomy,
 ///
 ///   err_path[c]    - error of the path represented by c (sum along its chain)
 ///   max_in[c]      - max err_path over the cluster subtree rooted at c
-///   max_out[c]     - max err_path over everything outside c's subtree
+///   max_out[c]     - max err_path over the rest of c's tree
 ///   sibling_max[c] - max of max_in over c's forest siblings
 ///
 /// which lets a candidate merge (outer, inner) be evaluated in O(chain)
@@ -49,17 +50,23 @@ Cluster MakeSingletonCluster(const SpatialTaxonomy& taxonomy,
 /// inner gain (merged - err_outer - err_inner); paths under outer but not
 /// inner gain (merged - err_outer).
 ///
-/// The forest is built once. A merge keeps outer's top region and removes
-/// inner, so Merge only re-parents inner's children to inner's own parent
-/// (now their nearest alive encloser; outer may sit further up) and drops
-/// inner from the parents-first order. Every per-pass quantity is a linear
-/// pass over that order and flat arrays, and nothing is allocated.
+/// The forest is evaluated one tree at a time. A root is never merged as
+/// inner, so the trees are fixed for the whole call and a merge changes only
+/// its own tree: Merge drops inner from its tree's members and re-parents
+/// inner's children to inner's own parent (now their nearest alive encloser;
+/// outer may sit further up). A tree's quantities are refreshed only when a
+/// pass reads them. Between refreshes an untouched tree's maximum can only
+/// fall, since every bound shrinks as beta/(|C| - 1) rises, so its last
+/// exact maximum times kSlack bounds it from above; a merge sets the bound of
+/// its tree to infinity. Every value a decision compares is recomputed with
+/// the same formula in the same fold order, and max is exact, so a pair's
+/// score carries the same bits as a whole-forest evaluation would give it.
 class ClusterForest {
  public:
   static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
 
   struct Candidate {
-    double worst = std::numeric_limits<double>::infinity();
+    double worst = kInf;
     uint32_t outer = kNone;
     uint32_t inner = kNone;
   };
@@ -67,7 +74,12 @@ class ClusterForest {
   ClusterForest(const SpatialTaxonomy& taxonomy,
                 const std::vector<Cluster>& clusters)
       : root_(static_cast<uint32_t>(clusters.size())),
+        num_alive_(clusters.size()),
         parent_(clusters.size()),
+        tree_(clusters.size()),
+        next_(clusters.size() + 1),
+        prev_(clusters.size() + 1),
+        members_(clusters.size()),
         n_(clusters.size()),
         varsigma_(clusters.size()),
         size_index_(clusters.size()),
@@ -76,9 +88,8 @@ class ClusterForest {
         max_in_(clusters.size()),
         max_out_(clusters.size()),
         sibling_max_(clusters.size()),
-        tree_root_(clusters.size()),
-        top1_(clusters.size() + 1),
-        top2_(clusters.size() + 1) {
+        top1_(clusters.size()),
+        top2_(clusters.size()) {
     // Tops are unique among alive clusters; map taxonomy node -> cluster.
     std::vector<uint32_t> cluster_at_node(taxonomy.num_nodes(), kNone);
     for (uint32_t c = 0; c < root_; ++c) {
@@ -104,15 +115,48 @@ class ClusterForest {
       region_sizes_.push_back(clusters[c].region_size);
     }
 
-    // Parents-before-children order: by taxonomy level of the top, then by
-    // index. Merges never move a top, so the order only ever loses entries.
-    order_.resize(root_);
-    std::iota(order_.begin(), order_.end(), 0u);
-    std::sort(order_.begin(), order_.end(), [&](uint32_t a, uint32_t b) {
+    // The scan order, parents before children: by taxonomy level of the
+    // top, then by index. Merges never move a top, so the order only ever
+    // loses entries. Tree roots have no pairs, so the scan list, linked
+    // through next_/prev_ with root_ as the sentinel, holds only the others.
+    std::vector<uint32_t> order(root_);
+    std::iota(order.begin(), order.end(), 0u);
+    std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
       const uint32_t la = taxonomy.level(clusters[a].top_region);
       const uint32_t lb = taxonomy.level(clusters[b].top_region);
       return la != lb ? la < lb : a < b;
     });
+    uint32_t last = root_;
+    for (const uint32_t c : order) {
+      if (parent_[c] == root_) continue;
+      next_[last] = c;
+      prev_[c] = last;
+      last = c;
+    }
+    next_[last] = root_;
+    prev_[root_] = last;
+
+    // Trees are numbered by their roots in scan order. Each tree's members
+    // sit in one slice of members_, in scan order, so its root comes first.
+    std::vector<uint32_t> tree_size;
+    for (const uint32_t c : order) {
+      if (parent_[c] == root_) {
+        tree_[c] = static_cast<uint32_t>(tree_size.size());
+        tree_size.push_back(0);
+      } else {
+        tree_[c] = tree_[parent_[c]];
+      }
+      ++tree_size[tree_[c]];
+    }
+    begin_.resize(tree_size.size());
+    std::exclusive_scan(tree_size.begin(), tree_size.end(), begin_.begin(),
+                        0u);
+    end_ = begin_;
+    for (const uint32_t c : order) members_[end_[tree_[c]]++] = c;
+    bound_.assign(tree_size.size(), kInf);
+    refreshed_.assign(tree_size.size(), 0);
+    by_bound_.resize(tree_size.size());
+    std::iota(by_bound_.begin(), by_bound_.end(), 0u);
 
     // Region sizes follow the tops, so this table of distinct sizes holds
     // every alive cluster's size for the whole call.
@@ -129,92 +173,74 @@ class ClusterForest {
     }
   }
 
-  size_t num_alive() const { return order_.size(); }
+  size_t num_alive() const { return num_alive_; }
 
-  /// errs and err_path at confidence beta_each per cluster. The logs of the
-  /// bound are taken once per distinct region size.
-  void EvaluatePaths(double beta_each) {
-    for (size_t i = 0; i < region_sizes_.size(); ++i) {
-      logs_[i] = PcepErrorBoundLogs(beta_each,
-                                    static_cast<double>(region_sizes_[i]));
-    }
-    for (const uint32_t c : order_) {
-      errs_[c] = PcepErrorBoundFromLogs(logs_[size_index_[c]],
-                                        static_cast<double>(n_[c]),
-                                        varsigma_[c]);
-      err_path_[c] = errs_[c] + err_path_[parent_[c]];
-    }
-  }
+  /// Bounds evaluated so far: one per cluster a refresh recomputes and one
+  /// per candidate pair scored.
+  uint64_t evaluations() const { return evaluations_; }
 
-  /// max_in, max_out, sibling_max and each cluster's tree root, from
-  /// err_path. top1/top2 hold the two largest max_in among a cluster's
-  /// children (the virtual root's children are the forest roots).
-  void EvaluateSubtrees() {
-    top1_[root_] = top2_[root_] = kNegInf;
-    for (const uint32_t c : order_) top1_[c] = top2_[c] = kNegInf;
-    for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-      const uint32_t c = *it;
-      const uint32_t p = parent_[c];
-      const double in = std::max(err_path_[c], top1_[c]);
-      max_in_[c] = in;
-      top2_[p] = std::max(top2_[p], std::min(top1_[p], in));
-      top1_[p] = std::max(top1_[p], in);
-    }
-    // Outside a root: the other roots' subtrees. Outside a child z of x:
-    // outside x, plus path x itself, plus the subtrees of z's siblings.
-    for (const uint32_t c : order_) {
-      const uint32_t p = parent_[c];
-      sibling_max_[c] = max_in_[c] == top1_[p] ? top2_[p] : top1_[p];
-      if (p == root_) {
-        max_out_[c] = sibling_max_[c];
-        tree_root_[c] = c;
-      } else {
-        max_out_[c] = std::max({max_out_[p], err_path_[p], sibling_max_[c]});
-        tree_root_[c] = tree_root_[p];
-      }
-    }
-  }
-
-  /// Lines 8-17 of Algorithm 3: the first (inner, outer) pair, in
-  /// parents-first order of inner and then outward along its chain, whose
-  /// merge gives the smallest maximum path error. Pairs are exactly (inner,
-  /// one of its forest ancestors).
+  /// Lines 6-17 of Algorithm 3 at confidence beta_each per cluster: the
+  /// first (inner, outer) pair, in parents-first order of inner and then
+  /// outward along its chain, whose merge gives the smallest maximum path
+  /// error, when that error is below lmax. Otherwise the result is no pair
+  /// or a pair scoring at least lmax.
   ///
-  /// Every candidate has worst >= max_out[outer]. Only a pair strictly below
-  /// the running best can replace it, and only a pair below lmax is ever
-  /// merged, so a pair with max_out[outer] >= min(best, lmax) is skipped
-  /// without changing the result. max_out never decreases down the forest,
-  /// so when an inner's tree root fails that test, all its pairs do.
-  /// `evaluations` gains one per merged error evaluated.
-  Candidate BestMerge(double lmax, uint64_t* evaluations) const {
-    Candidate best;
-    for (const uint32_t inner : order_) {
-      if (max_out_[tree_root_[inner]] >= std::min(best.worst, lmax)) continue;
-      // Walking outward: branch_max is the max over paths that are under
-      // the current outer but outside inner's branch (without deltas), so
-      // each step adds outer's own path and the subtrees of below's
-      // siblings.
-      double branch_max = kNegInf;
-      uint32_t below = inner;  // the chain node whose subtree holds inner
-      for (uint32_t outer = parent_[inner]; outer != root_;
-           below = outer, outer = parent_[outer]) {
-        branch_max =
-            std::max({branch_max, err_path_[outer], sibling_max_[below]});
-        if (max_out_[outer] >= std::min(best.worst, lmax)) continue;
-
-        const double merged = PcepErrorBoundFromLogs(
-            logs_[size_index_[outer]],
-            static_cast<double>(n_[outer] + n_[inner]),
-            varsigma_[outer] + varsigma_[inner]);
-        ++*evaluations;
-        const double delta_outer = merged - errs_[outer];
-        const double delta_inner = -errs_[inner];
-
-        double worst = max_out_[outer];  // unchanged paths
-        worst = std::max(worst, branch_max + delta_outer);
-        worst = std::max(worst, max_in_[inner] + delta_outer + delta_inner);
-        if (worst < best.worst) best = {worst, outer, inner};
+  /// Let M be the maximum path error. The merge raises every path under
+  /// outer, or leaves it: merged >= errs[outer] under rounding, since the
+  /// bound is monotone in n and varsigma. So a pair scores below M only if
+  /// every path scoring M runs through inner, which puts both clusters on
+  /// the chain those paths share, inside the one tree that holds M. The
+  /// pass therefore (1) refreshes trees in descending bound order until the
+  /// largest and second-largest tree maxima are exact, (2) scans the max
+  /// tree's pairs for one below min(M, lmax), and otherwise (3) runs the
+  /// scan in full order, refreshing a tree when one of its inners is first
+  /// reached, and stops at the first pair that scores M, which no later pair
+  /// can beat.
+  Candidate BestMerge(double beta_each, double lmax) {
+    BeginPass(beta_each);
+    // Bounds move little between passes (a merged tree's jumps to the
+    // front), so an insertion sort restores the order in about one sweep.
+    for (size_t i = 1; i < by_bound_.size(); ++i) {
+      const uint32_t tree = by_bound_[i];
+      size_t j = i;
+      for (; j > 0 && bound_[by_bound_[j - 1]] < bound_[tree]; --j) {
+        by_bound_[j] = by_bound_[j - 1];
       }
+      by_bound_[j] = tree;
+    }
+    double m1 = kNegInf;  // M
+    double m2 = kNegInf;  // the largest maximum of any tree but max_tree
+    uint32_t max_tree = kNone;
+    for (const uint32_t tree : by_bound_) {
+      if (bound_[tree] < m2) break;
+      const double tree_max = Refresh(tree);
+      if (tree_max > m1) {
+        m2 = m1;
+        m1 = tree_max;
+        max_tree = tree;
+      } else {
+        m2 = std::max(m2, tree_max);
+      }
+    }
+
+    // A tree's paths outside it score m1, or m2 for the max tree itself.
+    const double limit = std::min(lmax, m1);
+    Candidate best;
+    for (uint32_t i = begin_[max_tree] + 1; i < end_[max_tree]; ++i) {
+      ScorePairs(members_[i], m2, limit, &best);
+    }
+    if (best.worst < limit) return best;
+    if (lmax <= m1) return Candidate{};
+
+    best = Candidate{};
+    for (uint32_t inner = next_[root_]; inner != root_;
+         inner = next_[inner]) {
+      const uint32_t tree = tree_[inner];
+      const double outside = tree == max_tree ? m2 : m1;
+      if (outside >= std::min(best.worst, lmax)) continue;
+      if (refreshed_[tree] != pass_) Refresh(tree);
+      ScorePairs(inner, outside, lmax, &best);
+      if (best.worst <= m1) break;
     }
     return best;
   }
@@ -223,25 +249,142 @@ class ClusterForest {
   void Merge(uint32_t outer, uint32_t inner) {
     n_[outer] += n_[inner];
     varsigma_[outer] += varsigma_[inner];
-    order_.erase(std::find(order_.begin(), order_.end(), inner));
+    const uint32_t tree = tree_[inner];
     const uint32_t up = parent_[inner];
-    for (const uint32_t c : order_) {
+    uint32_t kept = begin_[tree];
+    for (uint32_t i = begin_[tree]; i < end_[tree]; ++i) {
+      const uint32_t c = members_[i];
+      if (c == inner) continue;
       if (parent_[c] == inner) parent_[c] = up;
+      members_[kept++] = c;
     }
+    end_[tree] = kept;
+    next_[prev_[inner]] = next_[inner];
+    prev_[next_[inner]] = prev_[inner];
+    bound_[tree] = kInf;
+    --num_alive_;
   }
 
-  /// The Definition 4.1 objective at the confidence of the last
-  /// EvaluatePaths.
-  double MaxPathError() const {
+  /// The Definition 4.1 objective at confidence beta_each per cluster.
+  double MaxPathError(double beta_each) {
+    BeginPass(beta_each);
     double max_err = 0.0;
-    for (const uint32_t c : order_) max_err = std::max(max_err, err_path_[c]);
+    for (uint32_t t = 0; t < bound_.size(); ++t) {
+      max_err = std::max(max_err, Refresh(t));
+    }
     return max_err;
   }
 
  private:
+  /// Slack on a tree's last exact maximum that covers the rounding of a
+  /// later, smaller evaluation, which is a few ulps.
+  static constexpr double kSlack = 1.0 + 1e-9;
+
+  /// Starts a pass at confidence beta_each: no tree is refreshed yet, and
+  /// the logs of the bound are taken once per distinct region size.
+  void BeginPass(double beta_each) {
+    ++pass_;
+    for (size_t i = 0; i < region_sizes_.size(); ++i) {
+      logs_[i] = PcepErrorBoundLogs(beta_each,
+                                    static_cast<double>(region_sizes_[i]));
+    }
+  }
+
+  /// errs, err_path, max_in, max_out and sibling_max of one tree at this
+  /// pass's confidence, in three passes over its members: top-down,
+  /// bottom-up (top1/top2 hold the two largest max_in among a cluster's
+  /// children), top-down. Returns the tree's maximum path error.
+  double Refresh(uint32_t tree) {
+    const uint32_t* first = members_.data() + begin_[tree];
+    const uint32_t* last = members_.data() + end_[tree];
+    for (const uint32_t* it = first; it != last; ++it) {
+      const uint32_t c = *it;
+      errs_[c] = PcepErrorBoundFromLogs(logs_[size_index_[c]],
+                                        static_cast<double>(n_[c]),
+                                        varsigma_[c]);
+      err_path_[c] = errs_[c] + err_path_[parent_[c]];
+      top1_[c] = top2_[c] = kNegInf;
+    }
+    for (const uint32_t* it = last; it-- != first + 1;) {
+      const uint32_t c = *it;
+      const uint32_t p = parent_[c];
+      const double in = std::max(err_path_[c], top1_[c]);
+      max_in_[c] = in;
+      top2_[p] = std::max(top2_[p], std::min(top1_[p], in));
+      top1_[p] = std::max(top1_[p], in);
+    }
+    // Outside the root: nothing in this tree. Outside a child z of x:
+    // outside x, plus path x itself, plus the subtrees of z's siblings.
+    const uint32_t root = *first;
+    max_in_[root] = std::max(err_path_[root], top1_[root]);
+    max_out_[root] = sibling_max_[root] = kNegInf;
+    for (const uint32_t* it = first + 1; it != last; ++it) {
+      const uint32_t c = *it;
+      const uint32_t p = parent_[c];
+      sibling_max_[c] = max_in_[c] == top1_[p] ? top2_[p] : top1_[p];
+      max_out_[c] = std::max({max_out_[p], err_path_[p], sibling_max_[c]});
+    }
+    evaluations_ += static_cast<uint64_t>(last - first);
+    refreshed_[tree] = pass_;
+    bound_[tree] = max_in_[root] * kSlack;
+    return max_in_[root];
+  }
+
+  /// Scores the pairs of `inner` against its refreshed tree, where
+  /// `outside` is the maximum path error of every other tree, and keeps the
+  /// first pair below the running best. Every candidate has worst >=
+  /// max_out[outer]. Only a pair strictly below the running best can
+  /// replace it, and only a pair below `limit` is of use, so a pair with
+  /// max_out[outer] >= min(best, limit) is skipped without changing the
+  /// result. Every path outside inner's subtree keeps or raises its error,
+  /// so each pair also has worst >= max_out[inner], and when inner fails
+  /// the test all of its pairs do.
+  void ScorePairs(uint32_t inner, double outside, double limit,
+                  Candidate* best) {
+    if (std::max(outside, max_out_[inner]) >= std::min(best->worst, limit)) {
+      return;
+    }
+    // Walking outward: branch_max is the max over paths that are under the
+    // current outer but outside inner's branch (without deltas), so each
+    // step adds outer's own path and the subtrees of below's siblings.
+    double branch_max = kNegInf;
+    uint32_t below = inner;  // the chain node whose subtree holds inner
+    for (uint32_t outer = parent_[inner]; outer != root_;
+         below = outer, outer = parent_[outer]) {
+      branch_max =
+          std::max({branch_max, err_path_[outer], sibling_max_[below]});
+      const double max_out = std::max(outside, max_out_[outer]);
+      if (max_out >= std::min(best->worst, limit)) continue;
+
+      const double merged = PcepErrorBoundFromLogs(
+          logs_[size_index_[outer]],
+          static_cast<double>(n_[outer] + n_[inner]),
+          varsigma_[outer] + varsigma_[inner]);
+      ++evaluations_;
+      const double delta_outer = merged - errs_[outer];
+      const double delta_inner = -errs_[inner];
+
+      double worst = max_out;  // unchanged paths
+      worst = std::max(worst, branch_max + delta_outer);
+      worst = std::max(worst, max_in_[inner] + delta_outer + delta_inner);
+      if (worst < best->worst) *best = {worst, outer, inner};
+    }
+  }
+
   const uint32_t root_;  // the virtual root, one past the last cluster
-  std::vector<uint32_t> order_;  // alive clusters, parents before kids
+  size_t num_alive_;
+  uint64_t evaluations_ = 0;
+  uint32_t pass_ = 0;
   std::vector<uint32_t> parent_;
+  std::vector<uint32_t> tree_;     // each cluster's tree, fixed per call
+  std::vector<uint32_t> next_;     // the scan list of alive non-roots
+  std::vector<uint32_t> prev_;
+  std::vector<uint32_t> members_;  // alive clusters by tree, in scan order
+  std::vector<uint32_t> begin_;    // each tree's slice of members_
+  std::vector<uint32_t> end_;
+  std::vector<double> bound_;      // >= each tree's maximum path error
+  std::vector<uint32_t> by_bound_;  // trees by descending bound
+  std::vector<uint32_t> refreshed_;  // the pass that last refreshed a tree
   std::vector<uint64_t> n_;
   std::vector<double> varsigma_;
   std::vector<uint32_t> size_index_;  // into region_sizes_ and logs_
@@ -252,7 +395,6 @@ class ClusterForest {
   std::vector<double> max_in_;
   std::vector<double> max_out_;
   std::vector<double> sibling_max_;
-  std::vector<uint32_t> tree_root_;
   std::vector<double> top1_;
   std::vector<double> top2_;
 };
@@ -281,9 +423,10 @@ double MaxPathError(const SpatialTaxonomy& taxonomy,
                     const std::vector<Cluster>& clusters, double beta) {
   if (clusters.empty()) return 0.0;
   ClusterForest forest(taxonomy, clusters);
-  forest.EvaluatePaths(beta / static_cast<double>(clusters.size()));
-  CountBoundEvaluations(clusters.size());
-  return forest.MaxPathError();
+  const double max_err =
+      forest.MaxPathError(beta / static_cast<double>(clusters.size()));
+  CountBoundEvaluations(forest.evaluations());
+  return max_err;
 }
 
 StatusOr<ClusteringResult> TrivialClusters(const SpatialTaxonomy& taxonomy,
@@ -320,13 +463,8 @@ StatusOr<ClusteringResult> ClusterUserGroups(
 
   while (forest.num_alive() > 1) {
     // Lines 6-7: all quantities at the post-merge confidence beta/(|C|-1).
-    const size_t num_alive = forest.num_alive();
-    forest.EvaluatePaths(options.beta / static_cast<double>(num_alive - 1));
-    forest.EvaluateSubtrees();
-    uint64_t pair_evaluations = 0;
-    const ClusterForest::Candidate best =
-        forest.BestMerge(lmax, &pair_evaluations);
-    CountBoundEvaluations(num_alive + pair_evaluations);
+    const ClusterForest::Candidate best = forest.BestMerge(
+        options.beta / static_cast<double>(forest.num_alive() - 1), lmax);
 
     // Lines 18-23: merge only if the best merge improves the objective.
     if (best.outer == ClusterForest::kNone || best.worst >= lmax) break;
@@ -341,6 +479,8 @@ StatusOr<ClusteringResult> ClusterUserGroups(
     ++result.merges;
     lmax = best.worst;
   }
+
+  CountBoundEvaluations(forest.evaluations());
 
   // Compact the surviving clusters.
   std::vector<Cluster> survivors;

@@ -35,10 +35,11 @@ double PcepErrorBound(double beta, double n, double region_size,
 }
 
 void CountBoundEvaluations(uint64_t count) {
-  // Counter, not a span: the clustering objective evaluates the bound for
-  // every alive cluster on every merge pass, so the trajectory wants the
-  // evaluation volume, and the trace collector could not afford one record
-  // per evaluation. Bulk callers add a whole pass's count at once.
+  // Counter, not a span: the clustering objective evaluates the bound once
+  // per cluster of each forest tree a merge pass refreshes and once per
+  // candidate pair it scores, so the trajectory wants the evaluation volume,
+  // and the trace collector could not afford one record per evaluation.
+  // Bulk callers add their whole count at once.
   static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
       "error_model.bound_evaluations");
   counter->Increment(count);

@@ -50,7 +50,10 @@ bool ScanOrderBefore(const SpatialTaxonomy& taxonomy,
 
 /// Literal transcription of Algorithm 3: paths are represented by every
 /// cluster as a base, path membership is decided by top-region containment,
-/// and every comparable pair is evaluated with a full O(paths) sweep.
+/// and every comparable pair is evaluated with a full O(paths) sweep. A
+/// path's error sums its clusters root first, as ClusterUserGroups does:
+/// summed in index order, a chain of three or more can round differently,
+/// and an exact tie between copied trees then picks a different merge.
 ClusteringResult ReferenceCluster(const SpatialTaxonomy& taxonomy,
                                   const std::vector<UserGroup>& groups,
                                   double beta) {
@@ -74,12 +77,18 @@ ClusteringResult ReferenceCluster(const SpatialTaxonomy& taxonomy,
     }
     for (size_t base = 0; base < k; ++base) {
       if (!alive[base]) continue;
+      std::vector<size_t> chain;
       for (size_t c = 0; c < k; ++c) {
         if (alive[c] && taxonomy.Contains(clusters[c].top_region,
                                           clusters[base].top_region)) {
-          path_errors[base] += errors[c];
+          chain.push_back(c);
         }
       }
+      std::sort(chain.begin(), chain.end(), [&](size_t a, size_t b) {
+        return taxonomy.level(clusters[a].top_region) <
+               taxonomy.level(clusters[b].top_region);
+      });
+      for (const size_t c : chain) path_errors[base] += errors[c];
     }
 
     double best = std::numeric_limits<double>::infinity();
@@ -174,6 +183,29 @@ SpatialTaxonomy MakeTaxonomy(double side) {
   return SpatialTaxonomy::Build(grid, 4).value();
 }
 
+/// The distinct nodes at `level`.
+std::vector<NodeId> NodesAtLevel(const SpatialTaxonomy& taxonomy,
+                                 uint32_t level) {
+  std::vector<NodeId> nodes;
+  for (NodeId node = 0; node < taxonomy.num_nodes(); ++node) {
+    if (taxonomy.level(node) == level) nodes.push_back(node);
+  }
+  return nodes;
+}
+
+/// `count` distinct nodes drawn from `nodes`.
+std::vector<NodeId> DistinctNodes(const std::vector<NodeId>& nodes,
+                                  size_t count, Rng* rng) {
+  std::vector<NodeId> picked;
+  while (picked.size() < count) {
+    const NodeId node = nodes[rng->NextUint64(nodes.size())];
+    if (std::find(picked.begin(), picked.end(), node) == picked.end()) {
+      picked.push_back(node);
+    }
+  }
+  return picked;
+}
+
 /// `node` or one of its descendants, reached by a random walk down from
 /// `node` of random length.
 NodeId RandomDescendant(const SpatialTaxonomy& taxonomy, NodeId node,
@@ -231,19 +263,9 @@ TEST_P(ClusteringEquivalenceTest, DisjointRootTreesMatchReference) {
   const int scenario = GetParam();
   const SpatialTaxonomy taxonomy = MakeTaxonomy(64);
   Rng rng(2000 + scenario);
-  std::vector<NodeId> level2;
-  for (NodeId node = 0; node < taxonomy.num_nodes(); ++node) {
-    if (taxonomy.level(node) == 2) level2.push_back(node);
-  }
-  std::vector<NodeId> tree_tops;
   const size_t num_trees = 2 + rng.NextUint64(4);
-  while (tree_tops.size() < num_trees) {
-    const NodeId top = level2[rng.NextUint64(level2.size())];
-    if (std::find(tree_tops.begin(), tree_tops.end(), top) ==
-        tree_tops.end()) {
-      tree_tops.push_back(top);
-    }
-  }
+  const std::vector<NodeId> tree_tops =
+      DistinctNodes(NodesAtLevel(taxonomy, 2), num_trees, &rng);
   const size_t count = 20 + rng.NextUint64(30);
   std::vector<UserGroup> groups;
   std::set<NodeId> used;
@@ -300,8 +322,100 @@ TEST_P(ClusteringEquivalenceTest, EqualSiblingsMatchReference) {
                          "equal siblings " + std::to_string(scenario));
 }
 
+// One random tree shape copied, with the same n and epsilon per node, under
+// 2-5 disjoint level-2 nodes of a 64x64 taxonomy. The copies' maxima tie
+// exactly, so no merge can score below the maximum path error M until one
+// copy changes, and the first pair in scan order that scores M is taken.
+TEST_P(ClusteringEquivalenceTest, CopiedTreesMatchReference) {
+  const int scenario = GetParam();
+  const SpatialTaxonomy taxonomy = MakeTaxonomy(64);
+  Rng rng(4000 + scenario);
+  const size_t num_copies = 2 + rng.NextUint64(4);
+  const std::vector<NodeId> tops =
+      DistinctNodes(NodesAtLevel(taxonomy, 2), num_copies, &rng);
+  // The shape: distinct child-index paths down from the top.
+  struct Member {
+    std::vector<size_t> path;
+    uint64_t n;
+    double eps;
+  };
+  std::vector<Member> shape;
+  std::set<std::vector<size_t>> paths;
+  const size_t count = 2 + rng.NextUint64(10);
+  while (shape.size() < count) {
+    std::vector<size_t> path(rng.NextUint64(taxonomy.height() - 1));
+    for (size_t& step : path) step = rng.NextUint64(4);
+    if (!paths.insert(path).second) continue;
+    shape.push_back(
+        {path, 1 + rng.NextUint64(30000), 0.25 + 0.25 * rng.NextUint64(5)});
+  }
+  std::vector<UserGroup> groups;
+  for (const NodeId top : tops) {
+    for (const Member& member : shape) {
+      NodeId node = top;
+      for (const size_t step : member.path) {
+        node = taxonomy.children(node)[step];
+      }
+      groups.push_back(MakeGroup(node, member.n, member.eps));
+    }
+  }
+  ExpectMatchesReference(taxonomy, groups,
+                         "copied trees " + std::to_string(scenario));
+}
+
+// Random groups plus one at the taxonomy root: every cluster lies in the
+// root's tree, so the whole forest is one tree that every merge touches.
+TEST_P(ClusteringEquivalenceTest, RootGroupMatchesReference) {
+  const int scenario = GetParam();
+  const SpatialTaxonomy taxonomy = MakeTaxonomy(16);
+  Rng rng(5000 + scenario);
+  std::vector<UserGroup> groups =
+      RandomGroups(taxonomy, 1 + rng.NextUint64(24), &rng);
+  if (std::none_of(groups.begin(), groups.end(), [&](const UserGroup& g) {
+        return g.region == taxonomy.root();
+      })) {
+    groups.push_back(MakeGroup(taxonomy.root(), 1 + rng.NextUint64(30000),
+                               0.25 + 0.25 * rng.NextUint64(5)));
+  }
+  ExpectMatchesReference(taxonomy, groups,
+                         "root group " + std::to_string(scenario));
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomConfigurations, ClusteringEquivalenceTest,
                          ::testing::Range(0, 40));
+
+// A merge that raises its tree's maximum must not leave that tree's bound in
+// place. Trees A = {a, a2} and B = {b, b2} are copies and tie at M; T = {t,
+// u, w} lies below them. Pass 1 takes (t, u), the first pair scoring M,
+// which raises T's maximum. Pass 2 takes (a, a2) at M. Pass 3 takes (b, b2),
+// which scores T's maximum, now above merged A's, and pass 4 merges (t, w)
+// below that. Had T kept its pre-merge bound, which lies under merged A's
+// maximum, pass 3 would not refresh T and would score (b, b2) at merged A's
+// maximum, and pass 4 would refuse (t, w) against that lower objective.
+TEST(ClusteringStaleBoundTest, RaisedTreeIsRefreshed) {
+  const SpatialTaxonomy taxonomy = MakeTaxonomy(64);
+  const auto below = [&](NodeId node, std::initializer_list<size_t> steps) {
+    for (const size_t step : steps) node = taxonomy.children(node)[step];
+    return node;
+  };
+  const NodeId t = below(taxonomy.root(), {0, 0});
+  const NodeId a = below(taxonomy.root(), {1, 0});
+  const NodeId b = below(taxonomy.root(), {2, 0});
+  const std::vector<UserGroup> groups = {
+      MakeGroup(t, 100, 1.0),
+      MakeGroup(below(t, {0}), 5000, 1.0),         // u
+      MakeGroup(below(t, {1, 0, 0}), 25000, 1.0),  // w
+      MakeGroup(a, 15000, 1.0),
+      MakeGroup(below(a, {0, 0}), 7500, 1.0),      // a2
+      MakeGroup(b, 15000, 1.0),
+      MakeGroup(below(b, {0, 0}), 7500, 1.0)};     // b2
+  ExpectMatchesReference(taxonomy, groups, "stale bound");
+  const ClusteringResult result =
+      ClusterUserGroups(taxonomy, groups, ClusteringOptions{0.1}).value();
+  EXPECT_EQ(result.merges, 4u);
+  ASSERT_EQ(result.clusters.size(), 3u);
+  EXPECT_EQ(result.clusters[0].groups, (std::vector<uint32_t>{0, 1, 2}));
+}
 
 }  // namespace
 }  // namespace pldp

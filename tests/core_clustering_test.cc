@@ -1,11 +1,16 @@
 #include "core/clustering.h"
 
+#include <bit>
 #include <set>
 
 #include <gtest/gtest.h>
 
 #include "core/error_model.h"
+#include "core/user_group.h"
+#include "data/spec_assignment.h"
+#include "data/synthetic.h"
 #include "geo/taxonomy.h"
+#include "obs/metrics.h"
 
 namespace pldp {
 namespace {
@@ -174,6 +179,55 @@ TEST(ClusteringTest, MaxPathErrorSumsAlongChains) {
   const double err_outer = PcepErrorBound(beta / 2, 100, 16, clusters[0].varsigma);
   const double err_inner = PcepErrorBound(beta / 2, 50, 4, clusters[1].varsigma);
   EXPECT_NEAR(MaxPathError(tax, clusters, beta), err_outer + err_inner, 1e-9);
+}
+
+// The checkin cohort at scale 0.15 (S2E2, seed 2016), derived as `pldp_cli
+// run` derives it: 4,436 groups in a forest of hundreds of trees, clustered
+// over thousands of passes. The merges, both objective values and every
+// cluster's group list (in merge order) are pinned to the values of the
+// whole-forest implementation. The evaluation count catches a pass that
+// refreshes every tree or scans every pair; that took 10,057,771 bounds.
+TEST(ClusteringTest, CheckinCohortKeepsPinnedMerges) {
+  const uint64_t seed = 2016;
+  const Dataset dataset = GenerateByName("checkin", 0.15, seed).value();
+  const UniformGrid grid = dataset.MakeGrid().value();
+  const SpatialTaxonomy tax = SpatialTaxonomy::Build(grid, 4).value();
+  const std::vector<UserRecord> users =
+      AssignSpecs(tax, dataset.ToCells(grid), SafeRegionsS2(), EpsilonsE2(),
+                  seed ^ 0x5E771265)
+          .value();
+  const std::vector<UserGroup> groups =
+      GroupUsersBySafeRegion(tax, users).value();
+  ASSERT_EQ(groups.size(), 4436u);
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const bool was_enabled = registry.enabled();
+  registry.set_enabled(true);
+  obs::Counter* evaluations =
+      registry.GetCounter("error_model.bound_evaluations");
+  const uint64_t before = evaluations->Value();
+  const ClusteringResult result =
+      ClusterUserGroups(tax, groups, ClusteringOptions{0.1}).value();
+  const uint64_t evaluated = evaluations->Value() - before;
+  registry.set_enabled(was_enabled);
+
+  EXPECT_EQ(result.merges, 4082u);
+  EXPECT_EQ(result.clusters.size(), 354u);
+  EXPECT_EQ(std::bit_cast<uint64_t>(result.initial_max_path_error),
+            0x40ae96a805c9567eu);
+  EXPECT_EQ(std::bit_cast<uint64_t>(result.final_max_path_error),
+            0x40a3cfb1bdfe10bbu);
+  uint64_t hash = 14695981039346656037u;  // FNV-1a over the group lists
+  const auto mix = [&](uint64_t value) {
+    hash = (hash ^ value) * 1099511628211u;
+  };
+  mix(result.clusters.size());
+  for (const Cluster& cluster : result.clusters) {
+    mix(cluster.groups.size());
+    for (const uint32_t g : cluster.groups) mix(g);
+  }
+  EXPECT_EQ(hash, 0x0d668c4eca513ccbu);
+  EXPECT_LT(evaluated, 2000000u);
 }
 
 }  // namespace
