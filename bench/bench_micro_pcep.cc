@@ -167,11 +167,6 @@ void BM_PcepDecodeAvx2(benchmark::State& state) {
 }
 BENCHMARK(BM_PcepDecodeAvx2)->Name("decode_avx2");
 
-void BM_PcepDecodeAvx512(benchmark::State& state) {
-  RunDecodeKernelCase(state, DecodeKernel::kAvx512);
-}
-BENCHMARK(BM_PcepDecodeAvx512)->Name("decode_avx512");
-
 /// Shared input for the forced-kernel encode cases: the reference
 /// configuration (n=50k users, |tau|=16384, m=2^16) with mixed epsilons, the
 /// same shape RunPcepCollection feeds EncodeUserRange per chunk.

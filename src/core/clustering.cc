@@ -265,12 +265,15 @@ class ClusterForest {
     --num_alive_;
   }
 
-  /// The Definition 4.1 objective at confidence beta_each per cluster.
+  /// The Definition 4.1 objective at confidence beta_each per cluster. It
+  /// leaves every tree's bound at infinity, as construction does, so the
+  /// passes after it refresh the same trees as on a fresh forest.
   double MaxPathError(double beta_each) {
     BeginPass(beta_each);
     double max_err = 0.0;
     for (uint32_t t = 0; t < bound_.size(); ++t) {
       max_err = std::max(max_err, Refresh(t));
+      bound_[t] = kInf;
     }
     return max_err;
   }
@@ -399,8 +402,14 @@ class ClusterForest {
   std::vector<double> top2_;
 };
 
-Status ValidateGroups(const SpatialTaxonomy& taxonomy,
-                      const std::vector<UserGroup>& groups) {
+/// Checks the inputs of Algorithm 3 and builds its starting point, one
+/// cluster per user group.
+StatusOr<std::vector<Cluster>> SingletonClusters(
+    const SpatialTaxonomy& taxonomy, const std::vector<UserGroup>& groups,
+    const ClusteringOptions& options) {
+  if (!(options.beta > 0.0 && options.beta < 1.0)) {
+    return Status::InvalidArgument("beta must be in (0, 1)");
+  }
   std::set<NodeId> seen;
   for (const UserGroup& group : groups) {
     if (group.region == kInvalidNode || group.region >= taxonomy.num_nodes()) {
@@ -414,7 +423,12 @@ Status ValidateGroups(const SpatialTaxonomy& taxonomy,
           "two user groups share a safe region; merge them first");
     }
   }
-  return Status::OK();
+  std::vector<Cluster> clusters;
+  clusters.reserve(groups.size());
+  for (uint32_t g = 0; g < groups.size(); ++g) {
+    clusters.push_back(MakeSingletonCluster(taxonomy, groups, g));
+  }
+  return clusters;
 }
 
 }  // namespace
@@ -432,15 +446,9 @@ double MaxPathError(const SpatialTaxonomy& taxonomy,
 StatusOr<ClusteringResult> TrivialClusters(const SpatialTaxonomy& taxonomy,
                                            const std::vector<UserGroup>& groups,
                                            const ClusteringOptions& options) {
-  if (!(options.beta > 0.0 && options.beta < 1.0)) {
-    return Status::InvalidArgument("beta must be in (0, 1)");
-  }
-  PLDP_RETURN_IF_ERROR(ValidateGroups(taxonomy, groups));
   ClusteringResult result;
-  result.clusters.reserve(groups.size());
-  for (uint32_t g = 0; g < groups.size(); ++g) {
-    result.clusters.push_back(MakeSingletonCluster(taxonomy, groups, g));
-  }
+  PLDP_ASSIGN_OR_RETURN(result.clusters,
+                        SingletonClusters(taxonomy, groups, options));
   result.initial_max_path_error =
       MaxPathError(taxonomy, result.clusters, options.beta);
   result.final_max_path_error = result.initial_max_path_error;
@@ -451,15 +459,20 @@ StatusOr<ClusteringResult> ClusterUserGroups(
     const SpatialTaxonomy& taxonomy, const std::vector<UserGroup>& groups,
     const ClusteringOptions& options) {
   PLDP_SPAN("clustering.cluster_groups");
-  PLDP_ASSIGN_OR_RETURN(ClusteringResult result,
-                        TrivialClusters(taxonomy, groups, options));
+  if (groups.size() <= 1) return TrivialClusters(taxonomy, groups, options);
+  ClusteringResult result;
+  PLDP_ASSIGN_OR_RETURN(result.clusters,
+                        SingletonClusters(taxonomy, groups, options));
   std::vector<Cluster>& clusters = result.clusters;
   const size_t k = clusters.size();
-  if (k <= 1) return result;
 
+  // One forest serves both objectives and every merge pass.
   ClusterForest forest(taxonomy, clusters);
   std::vector<bool> alive(k, true);
-  double lmax = result.initial_max_path_error;  // Lines 1-4 of Algorithm 3.
+  // Lines 1-4 of Algorithm 3.
+  result.initial_max_path_error =
+      forest.MaxPathError(options.beta / static_cast<double>(k));
+  double lmax = result.initial_max_path_error;
 
   while (forest.num_alive() > 1) {
     // Lines 6-7: all quantities at the post-merge confidence beta/(|C|-1).
@@ -480,6 +493,8 @@ StatusOr<ClusteringResult> ClusterUserGroups(
     lmax = best.worst;
   }
 
+  result.final_max_path_error = forest.MaxPathError(
+      options.beta / static_cast<double>(forest.num_alive()));
   CountBoundEvaluations(forest.evaluations());
 
   // Compact the surviving clusters.
@@ -489,8 +504,6 @@ StatusOr<ClusteringResult> ClusterUserGroups(
     if (alive[c]) survivors.push_back(std::move(clusters[c]));
   }
   clusters = std::move(survivors);
-  result.final_max_path_error =
-      MaxPathError(taxonomy, clusters, options.beta);
 
   static obs::Counter* merges_counter =
       obs::MetricsRegistry::Global().GetCounter("clustering.merges");

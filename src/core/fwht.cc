@@ -1,16 +1,16 @@
 #include "core/fwht.h"
 
-#include <atomic>
-
 #include "obs/metrics.h"
-#include "util/cpu.h"
 #include "util/logging.h"
 
 namespace pldp {
 
-namespace internal_fwht {
-
-void FwhtScalar(double* data, size_t n) {
+void Fwht(double* data, size_t n) {
+  static obs::Counter* transforms =
+      obs::MetricsRegistry::Global().GetCounter("fwht.transforms");
+  transforms->Increment();
+  PLDP_CHECK(n != 0 && (n & (n - 1)) == 0)
+      << "Fwht size must be a power of two, got " << n;
   for (size_t len = 1; len < n; len <<= 1) {
     for (size_t block = 0; block < n; block += len << 1) {
       for (size_t j = block; j < block + len; ++j) {
@@ -21,168 +21,6 @@ void FwhtScalar(double* data, size_t n) {
       }
     }
   }
-}
-
-}  // namespace internal_fwht
-
-namespace {
-
-struct KernelTable {
-  FwhtKernel kind;
-  void (*transform)(double* data, size_t n);
-};
-
-constexpr KernelTable kScalarTable = {
-    FwhtKernel::kScalar,
-    &internal_fwht::FwhtScalar,
-};
-
-#ifdef PLDP_ENABLE_SIMD
-constexpr KernelTable kAvx2Table = {
-    FwhtKernel::kAvx2,
-    &internal_fwht::FwhtAvx2,
-};
-#endif
-
-const KernelTable* TableFor(FwhtKernel kernel) {
-  switch (kernel) {
-    case FwhtKernel::kScalar:
-      return &kScalarTable;
-    case FwhtKernel::kAvx2:
-#ifdef PLDP_ENABLE_SIMD
-      return &kAvx2Table;
-#else
-      break;
-#endif
-  }
-  PLDP_LOG(Fatal) << "fwht kernel " << FwhtKernelName(kernel)
-                  << " is not compiled into this binary";
-  return nullptr;  // unreachable
-}
-
-FwhtKernel BestAvailableKernel() {
-  if (FwhtKernelAvailable(FwhtKernel::kAvx2)) {
-    return FwhtKernel::kAvx2;
-  }
-  return FwhtKernel::kScalar;
-}
-
-/// Applies the PLDP_FWHT_KERNEL override to the detected features. The FWHT
-/// family has no avx512 kernel: the butterfly is bandwidth-bound well before
-/// ZMM width pays, so an avx512 request falls back like any other
-/// unavailable kernel.
-FwhtKernel SelectKernel() {
-  const SimdKernelChoice choice = FwhtKernelChoiceFromEnv();
-  const FwhtKernel best = BestAvailableKernel();
-  FwhtKernel selected = best;
-  switch (choice) {
-    case SimdKernelChoice::kAuto:
-      selected = best;
-      break;
-    case SimdKernelChoice::kScalar:
-      selected = FwhtKernel::kScalar;
-      break;
-    case SimdKernelChoice::kAvx2:
-      if (FwhtKernelAvailable(FwhtKernel::kAvx2)) {
-        selected = FwhtKernel::kAvx2;
-      } else {
-        PLDP_LOG(Warning)
-            << "PLDP_FWHT_KERNEL=avx2 requested but the avx2 kernel is "
-               "unavailable on this host/build; falling back to "
-            << FwhtKernelName(best);
-        selected = best;
-      }
-      break;
-    case SimdKernelChoice::kAvx512:
-      PLDP_LOG(Warning)
-          << "PLDP_FWHT_KERNEL=avx512 requested but the fwht family has no "
-             "avx512 kernel; falling back to "
-          << FwhtKernelName(best);
-      selected = best;
-      break;
-  }
-  PLDP_LOG(Info) << "FWHT kernel: " << FwhtKernelName(selected)
-                 << " (cpu: " << CpuFeaturesSummary()
-#ifdef PLDP_ENABLE_SIMD
-                 << ", simd kernels compiled in"
-#else
-                 << ", simd kernels not compiled"
-#endif
-                 << ")";
-  return selected;
-}
-
-/// The cached selection. Decode paths resolve it on the calling thread
-/// before any worker fan-out, so the env read never races the pool.
-std::atomic<const KernelTable*> g_active_table{nullptr};
-
-const KernelTable& ActiveTable() {
-  const KernelTable* table = g_active_table.load(std::memory_order_acquire);
-  if (table == nullptr) {
-    table = TableFor(SelectKernel());
-    g_active_table.store(table, std::memory_order_release);
-  }
-  return *table;
-}
-
-void TransformWithTable(const KernelTable& table, double* data, size_t n) {
-  PLDP_CHECK(n != 0 && (n & (n - 1)) == 0)
-      << "Fwht size must be a power of two, got " << n;
-  if (n == 1) return;
-  table.transform(data, n);
-}
-
-}  // namespace
-
-const char* FwhtKernelName(FwhtKernel kernel) {
-  switch (kernel) {
-    case FwhtKernel::kScalar:
-      return "scalar";
-    case FwhtKernel::kAvx2:
-      return "avx2";
-  }
-  return "unknown";
-}
-
-bool FwhtKernelAvailable(FwhtKernel kernel) {
-  switch (kernel) {
-    case FwhtKernel::kScalar:
-      return true;
-    case FwhtKernel::kAvx2:
-#ifdef PLDP_ENABLE_SIMD
-      // The AVX2 TU is compiled -mavx2 -mfma, so require both.
-      return GetCpuFeatures().avx2 && GetCpuFeatures().fma;
-#else
-      return false;
-#endif
-  }
-  return false;
-}
-
-FwhtKernel ActiveFwhtKernel() { return ActiveTable().kind; }
-
-void ResetFwhtKernelForTesting() {
-  g_active_table.store(nullptr, std::memory_order_release);
-}
-
-void ExportFwhtKernelGauge() {
-  static obs::Gauge* gauge =
-      obs::MetricsRegistry::Global().GetGauge("fwht.kernel");
-  gauge->Set(static_cast<double>(ActiveFwhtKernel()));
-}
-
-void Fwht(double* data, size_t n) {
-  static obs::Counter* transforms =
-      obs::MetricsRegistry::Global().GetCounter("fwht.transforms");
-  transforms->Increment();
-  TransformWithTable(ActiveTable(), data, n);
-}
-
-void FwhtWithKernel(FwhtKernel kernel, double* data, size_t n) {
-  PLDP_CHECK(FwhtKernelAvailable(kernel))
-      << "fwht kernel " << FwhtKernelName(kernel)
-      << " is unavailable on this host/build";
-  TransformWithTable(*TableFor(kernel), data, n);
 }
 
 uint64_t PadToPowerOfTwo(uint64_t width) {

@@ -13,21 +13,17 @@
 /// orthogonal, K columns cancel in pairs), so each user contributes exactly
 /// its indicator in expectation. The per-user weight 1/(2p_u - 1) makes the
 /// personalization per-report — no epsilon grouping, ONE transform per
-/// cohort — and the whole decode is O(n + K log K) through the
-/// kernel-dispatched FWHT (core/fwht.h), which is the crossover against
-/// PCEP's per-report decode at large |tau|.
-#include <algorithm>
+/// cohort — and the whole decode is O(n + K log K) through the FWHT
+/// (core/fwht.h), which is the crossover against PCEP's per-report decode at
+/// large |tau|.
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <memory>
 #include <vector>
 
 #include "core/frequency_oracle.h"
 #include "core/fwht.h"
 #include "obs/metrics.h"
-#include "util/logging.h"
 #include "util/random.h"
 
 namespace pldp {
@@ -71,26 +67,16 @@ StatusOr<std::vector<double>> HadamardOracle::EstimateCounts(
 
   // Decode: weighted accumulate, then one fast Walsh-Hadamard transform.
   const auto decode_start = std::chrono::steady_clock::now();
-  ExportFwhtKernelGauge();
-  // 64-byte-aligned transform buffer: on a 16-byte-offset buffer every
-  // 32-byte lane load of the AVX2 kernel splits across cache lines, costing
-  // up to 40% of the transform. The size is rounded up to a multiple of the
-  // alignment as aligned_alloc requires.
-  std::unique_ptr<double[], decltype(&std::free)> accumulator(
-      static_cast<double*>(
-          std::aligned_alloc(64, ((k * sizeof(double) + 63) / 64) * 64)),
-      &std::free);
-  PLDP_CHECK(accumulator != nullptr) << "accumulator allocation failed";
-  std::fill_n(accumulator.get(), k, 0.0);
+  std::vector<double> accumulator(k, 0.0);
   for (size_t i = 0; i < users.size(); ++i) {
     const double e = std::exp(users[i].epsilon);
     const double keep = e / (e + 1.0);
     accumulator[rows[i]] += sent[i] / (2.0 * keep - 1.0);
   }
-  Fwht(accumulator.get(), k);
+  Fwht(accumulator.data(), k);
   // Indices [width, K) are padding; no user holds them, their estimates are
   // pure noise, and the caller contract is a width-long vector.
-  std::vector<double> counts(accumulator.get(), accumulator.get() + width);
+  std::vector<double> counts(accumulator.begin(), accumulator.begin() + width);
   const double decode_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     decode_start)

@@ -42,10 +42,9 @@ obs::Counter* SkippedZeroRowsCounter() {
   return counter;
 }
 
-/// Which decode kernel this process dispatches to (0 = scalar, 1 = avx2,
-/// 2 = avx512). Re-exported on every decode: the registry may have been
-/// enabled after the first kernel selection, and the set is one relaxed
-/// store.
+/// Which decode kernel this process dispatches to (0 = scalar, 1 = avx2).
+/// Re-exported on every decode: the registry may have been enabled after the
+/// first kernel selection, and the set is one relaxed store.
 void ExportDecodeKernelGauge() {
   static obs::Gauge* gauge =
       obs::MetricsRegistry::Global().GetGauge("pcep.decode_kernel");

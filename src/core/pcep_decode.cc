@@ -4,8 +4,8 @@
 #include <atomic>
 
 #include "core/pcep_decode_kernels.h"
+#include "core/simd_select.h"
 #include "obs/metrics.h"
-#include "util/cpu.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -99,13 +99,6 @@ constexpr KernelTable kAvx2Table = {
     &internal_decode::DecodeGatheredAvx2,
     &internal_decode::FillSignWordsAvx2,
 };
-#ifdef PLDP_ENABLE_AVX512
-constexpr KernelTable kAvx512Table = {
-    DecodeKernel::kAvx512,
-    &internal_decode::DecodeGatheredAvx512,
-    &internal_decode::FillSignWordsAvx512,
-};
-#endif
 #endif
 
 const KernelTable* TableFor(DecodeKernel kernel) {
@@ -118,75 +111,10 @@ const KernelTable* TableFor(DecodeKernel kernel) {
 #else
       break;
 #endif
-    case DecodeKernel::kAvx512:
-#if defined(PLDP_ENABLE_SIMD) && defined(PLDP_ENABLE_AVX512)
-      return &kAvx512Table;
-#else
-      break;
-#endif
   }
   PLDP_LOG(Fatal) << "decode kernel " << DecodeKernelName(kernel)
                   << " is not compiled into this binary";
   return nullptr;  // unreachable
-}
-
-/// The best kernel the host/build can actually run; kernel requests that
-/// cannot be honoured fall back to this.
-DecodeKernel BestAvailableKernel() {
-  if (DecodeKernelAvailable(DecodeKernel::kAvx512)) {
-    return DecodeKernel::kAvx512;
-  }
-  if (DecodeKernelAvailable(DecodeKernel::kAvx2)) {
-    return DecodeKernel::kAvx2;
-  }
-  return DecodeKernel::kScalar;
-}
-
-/// Applies the PLDP_DECODE_KERNEL override to the detected features and
-/// returns the kernel the dispatching entries should use.
-DecodeKernel SelectKernel() {
-  const SimdKernelChoice choice = DecodeKernelChoiceFromEnv();
-  const DecodeKernel best = BestAvailableKernel();
-  DecodeKernel selected = best;
-  switch (choice) {
-    case SimdKernelChoice::kAuto:
-      selected = best;
-      break;
-    case SimdKernelChoice::kScalar:
-      selected = DecodeKernel::kScalar;
-      break;
-    case SimdKernelChoice::kAvx2:
-      if (DecodeKernelAvailable(DecodeKernel::kAvx2)) {
-        selected = DecodeKernel::kAvx2;
-      } else {
-        PLDP_LOG(Warning)
-            << "PLDP_DECODE_KERNEL=avx2 requested but the avx2 kernel is "
-               "unavailable on this host/build; falling back to "
-            << DecodeKernelName(best);
-        selected = best;
-      }
-      break;
-    case SimdKernelChoice::kAvx512:
-      if (DecodeKernelAvailable(DecodeKernel::kAvx512)) {
-        selected = DecodeKernel::kAvx512;
-      } else {
-        PLDP_LOG(Warning)
-            << "PLDP_DECODE_KERNEL=avx512 requested but the avx512 kernel is "
-               "unavailable on this host/build; falling back to "
-            << DecodeKernelName(best);
-        selected = best;
-      }
-      break;
-  }
-  PLDP_LOG(Info) << "PCEP decode kernel: " << DecodeKernelName(selected)
-                 << " (cpu: " << CpuFeaturesSummary()
-#ifdef PLDP_ENABLE_SIMD
-                 << ", simd kernels compiled in"
-#else
-                 << ", simd kernels not compiled"
-#endif
-                 << ")";
-  return selected;
 }
 
 /// The cached selection. Estimate paths resolve it on the calling thread
@@ -196,7 +124,10 @@ std::atomic<const KernelTable*> g_active_table{nullptr};
 const KernelTable& ActiveTable() {
   const KernelTable* table = g_active_table.load(std::memory_order_acquire);
   if (table == nullptr) {
-    table = TableFor(SelectKernel());
+    table = TableFor(internal_simd::SelectAvx2("PLDP_DECODE_KERNEL",
+                                               "PCEP decode")
+                         ? DecodeKernel::kAvx2
+                         : DecodeKernel::kScalar);
     g_active_table.store(table, std::memory_order_release);
   }
   return *table;
@@ -265,8 +196,6 @@ const char* DecodeKernelName(DecodeKernel kernel) {
       return "scalar";
     case DecodeKernel::kAvx2:
       return "avx2";
-    case DecodeKernel::kAvx512:
-      return "avx512";
   }
   return "unknown";
 }
@@ -276,20 +205,7 @@ bool DecodeKernelAvailable(DecodeKernel kernel) {
     case DecodeKernel::kScalar:
       return true;
     case DecodeKernel::kAvx2:
-#ifdef PLDP_ENABLE_SIMD
-      // The AVX2 TU is compiled -mavx2 -mfma, so require both.
-      return GetCpuFeatures().avx2 && GetCpuFeatures().fma;
-#else
-      return false;
-#endif
-    case DecodeKernel::kAvx512:
-#if defined(PLDP_ENABLE_SIMD) && defined(PLDP_ENABLE_AVX512)
-      // The avx512 TU is compiled -mavx512f only; GetCpuFeatures only
-      // reports avx512f when XCR0 says the OS saves opmask/ZMM state.
-      return GetCpuFeatures().avx512f;
-#else
-      return false;
-#endif
+      return internal_simd::Avx2Runnable();
   }
   return false;
 }

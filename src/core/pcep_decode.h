@@ -23,12 +23,9 @@ namespace pldp {
 ///  - the **avx2** kernel (x86-64 with AVX2, built under PLDP_ENABLE_SIMD)
 ///    regenerates four row-words per step with a 4-lane vectorized SplitMix64
 ///    and applies signs via the sign-bit-XOR identity, four columns per
-///    vector lane;
-///  - the **avx512** kernel (x86-64 with AVX-512F and OS ZMM state, its own
-///    -mavx512f-only TU) keeps the same row-word generation but walks eight
-///    columns per 512-bit lane group.
+///    vector lane.
 ///
-/// All kernels share the same blocked layout — rows four at a time, columns
+/// Both kernels share the same blocked layout — rows four at a time, columns
 /// in kDecodeBlockWords-sized L1-resident blocks, per-row stream seeds
 /// hoisted — and the same per-column accumulation order, so their results
 /// are **bit-identical** (exact ==, enforced by tests/core_pcep_simd_test).
@@ -36,28 +33,25 @@ namespace pldp {
 /// floating-point reassociation (relative differences at the 1e-12 scale).
 
 /// The available decode kernels. Values are stable (exported as the
-/// `pcep.decode_kernel` gauge: 0 = scalar, 1 = avx2, 2 = avx512).
+/// `pcep.decode_kernel` gauge: 0 = scalar, 1 = avx2).
 enum class DecodeKernel : int {
   kScalar = 0,
   kAvx2 = 1,
-  kAvx512 = 2,
 };
 
-/// "scalar" / "avx2" / "avx512" — matches the PLDP_DECODE_KERNEL tokens.
+/// "scalar" / "avx2" — matches the PLDP_DECODE_KERNEL tokens.
 const char* DecodeKernelName(DecodeKernel kernel);
 
 /// Whether `kernel` can run in this process: kScalar always; kAvx2 only when
 /// the binary was built with PLDP_ENABLE_SIMD and the host CPU + OS support
-/// AVX2 and FMA; kAvx512 additionally needs AVX-512F with the OS saving
-/// opmask/ZMM state (cpuid + XCR0, util/cpu.h) and a compiler that accepts
-/// -mavx512f.
+/// AVX2 and FMA (util/cpu.h).
 bool DecodeKernelAvailable(DecodeKernel kernel);
 
 /// The kernel the dispatching entry points use. Selected once (then cached):
-/// the PLDP_DECODE_KERNEL env override (`scalar` / `avx2` / `avx512` /
-/// `auto`) if set, else the best available kernel. A forced kernel that is
-/// unavailable logs a warning and falls back to the best available one. The
-/// selection is logged at info.
+/// the PLDP_DECODE_KERNEL env override (`scalar` / `avx2` / `auto`) if set,
+/// else the best available kernel. A forced kernel that is unavailable, or
+/// an unrecognized token, logs a warning and gets the best available one.
+/// The selection is logged at info.
 DecodeKernel ActiveDecodeKernel();
 
 /// Drops the cached selection so the next ActiveDecodeKernel() re-reads

@@ -42,19 +42,6 @@ void DecodeGatheredAvx2(const uint64_t* streams, const double* contributions,
 void FillSignWordsAvx2(uint64_t stream, uint64_t word_begin, size_t num_words,
                        uint64_t* out);
 
-#ifdef PLDP_ENABLE_AVX512
-
-/// AVX-512F kernel: identical row-word generation and accumulation order,
-/// eight columns per 512-bit step. Bit-identical to DecodeGatheredScalar.
-void DecodeGatheredAvx512(const uint64_t* streams, const double* contributions,
-                          size_t live, uint64_t tau_size, double* counts);
-
-/// 8-lane SplitMix64 word fill, bit-identical to FillSignWordsScalar.
-void FillSignWordsAvx512(uint64_t stream, uint64_t word_begin,
-                         size_t num_words, uint64_t* out);
-
-#endif  // PLDP_ENABLE_AVX512
-
 #endif  // PLDP_ENABLE_SIMD
 
 }  // namespace internal_decode

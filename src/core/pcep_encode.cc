@@ -8,8 +8,8 @@
 #include "core/error_model.h"
 #include "core/local_randomizer.h"
 #include "core/pcep_encode_kernels.h"
+#include "core/simd_select.h"
 #include "obs/metrics.h"
-#include "util/cpu.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -112,51 +112,6 @@ const KernelTable* TableFor(EncodeKernel kernel) {
   return nullptr;  // unreachable
 }
 
-/// Applies the PLDP_ENCODE_KERNEL override to the detected features and
-/// returns the kernel the batched entries should use.
-EncodeKernel SelectKernel() {
-  const SimdKernelChoice choice = EncodeKernelChoiceFromEnv();
-  const EncodeKernel best = EncodeKernelAvailable(EncodeKernel::kAvx2)
-                                ? EncodeKernel::kAvx2
-                                : EncodeKernel::kScalar;
-  EncodeKernel selected = best;
-  switch (choice) {
-    case SimdKernelChoice::kAuto:
-      selected = best;
-      break;
-    case SimdKernelChoice::kScalar:
-      selected = EncodeKernel::kScalar;
-      break;
-    case SimdKernelChoice::kAvx2:
-      if (EncodeKernelAvailable(EncodeKernel::kAvx2)) {
-        selected = EncodeKernel::kAvx2;
-      } else {
-        PLDP_LOG(Warning)
-            << "PLDP_ENCODE_KERNEL=avx2 requested but the avx2 kernel is "
-               "unavailable on this host/build; falling back to "
-            << EncodeKernelName(best);
-        selected = best;
-      }
-      break;
-    case SimdKernelChoice::kAvx512:
-      PLDP_LOG(Warning)
-          << "PLDP_ENCODE_KERNEL=avx512 requested but the encode kernel "
-             "family tops out at avx2; falling back to "
-          << EncodeKernelName(best);
-      selected = best;
-      break;
-  }
-  PLDP_LOG(Info) << "PCEP encode kernel: " << EncodeKernelName(selected)
-                 << " (cpu: " << CpuFeaturesSummary()
-#ifdef PLDP_ENABLE_SIMD
-                 << ", simd kernels compiled in"
-#else
-                 << ", simd kernels not compiled"
-#endif
-                 << ")";
-  return selected;
-}
-
 /// The cached selection. Encode paths resolve it on the calling thread
 /// before any worker fan-out, so the env read never races the pool.
 std::atomic<const KernelTable*> g_active_table{nullptr};
@@ -164,7 +119,10 @@ std::atomic<const KernelTable*> g_active_table{nullptr};
 const KernelTable& ActiveTable() {
   const KernelTable* table = g_active_table.load(std::memory_order_acquire);
   if (table == nullptr) {
-    table = TableFor(SelectKernel());
+    table = TableFor(internal_simd::SelectAvx2("PLDP_ENCODE_KERNEL",
+                                               "PCEP encode")
+                         ? EncodeKernel::kAvx2
+                         : EncodeKernel::kScalar);
     g_active_table.store(table, std::memory_order_release);
   }
   return *table;
@@ -252,12 +210,7 @@ bool EncodeKernelAvailable(EncodeKernel kernel) {
     case EncodeKernel::kScalar:
       return true;
     case EncodeKernel::kAvx2:
-#ifdef PLDP_ENABLE_SIMD
-      // The AVX2 TU is compiled -mavx2 -mfma, so require both.
-      return GetCpuFeatures().avx2 && GetCpuFeatures().fma;
-#else
-      return false;
-#endif
+      return internal_simd::Avx2Runnable();
   }
   return false;
 }

@@ -65,9 +65,9 @@ bool EncodeKernelAvailable(EncodeKernel kernel);
 
 /// The kernel the batched entry points use. Selected once (then cached): the
 /// PLDP_ENCODE_KERNEL env override (`scalar` / `avx2` / `auto`) if set, else
-/// the best available kernel. A forced kernel that is unavailable (including
-/// `avx512`, which the encode family does not implement) logs a warning and
-/// falls back to the best available one. The selection is logged at info.
+/// the best available kernel. A forced kernel that is unavailable, or an
+/// unrecognized token, logs a warning and gets the best available one. The
+/// selection is logged at info.
 EncodeKernel ActiveEncodeKernel();
 
 /// Drops the cached selection so the next ActiveEncodeKernel() re-reads

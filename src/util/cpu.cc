@@ -40,9 +40,7 @@ CpuFeatures DetectX86() {
   const bool fma = (ecx >> 12) & 1;
   if (!osxsave || !avx) return features;  // AVX state not saved by the OS
 
-  const uint64_t xcr0 = ReadXcr0();
-  const bool ymm_enabled = (xcr0 & 0x6) == 0x6;          // XMM + YMM state
-  const bool zmm_enabled = (xcr0 & 0xE6) == 0xE6;        // + opmask/ZMM state
+  const bool ymm_enabled = (ReadXcr0() & 0x6) == 0x6;  // XMM + YMM state
   if (!ymm_enabled) return features;
 
   uint32_t ebx7 = 0, ecx7 = 0, edx7 = 0;
@@ -50,12 +48,6 @@ CpuFeatures DetectX86() {
   if (!__get_cpuid_count(7, 0, &eax7, &ebx7, &ecx7, &edx7)) return features;
   features.avx2 = (ebx7 >> 5) & 1;
   features.fma = fma;
-  if (zmm_enabled) {
-    features.avx512f = (ebx7 >> 16) & 1;
-    features.avx512dq = (ebx7 >> 17) & 1;
-    features.avx512bw = (ebx7 >> 30) & 1;
-    features.avx512vl = (ebx7 >> 31) & 1;
-  }
   return features;
 }
 
@@ -75,16 +67,6 @@ void AppendFeature(std::string* out, const char* name, bool present) {
   out->append(name);
 }
 
-bool TokenEquals(const char* value, const char* token) {
-  size_t i = 0;
-  for (; value[i] != '\0' && token[i] != '\0'; ++i) {
-    if (std::tolower(static_cast<unsigned char>(value[i])) != token[i]) {
-      return false;
-    }
-  }
-  return value[i] == '\0' && token[i] == '\0';
-}
-
 }  // namespace
 
 const CpuFeatures& GetCpuFeatures() {
@@ -97,34 +79,7 @@ std::string CpuFeaturesSummary() {
   std::string out;
   AppendFeature(&out, "avx2", f.avx2);
   AppendFeature(&out, "fma", f.fma);
-  AppendFeature(&out, "avx512f", f.avx512f);
-  AppendFeature(&out, "avx512bw", f.avx512bw);
-  AppendFeature(&out, "avx512dq", f.avx512dq);
-  AppendFeature(&out, "avx512vl", f.avx512vl);
   return out.empty() ? "none" : out;
-}
-
-SimdKernelChoice ParseKernelChoice(const char* value) {
-  if (value == nullptr || value[0] == '\0') return SimdKernelChoice::kAuto;
-  if (TokenEquals(value, "auto")) return SimdKernelChoice::kAuto;
-  if (TokenEquals(value, "scalar")) return SimdKernelChoice::kScalar;
-  if (TokenEquals(value, "avx2")) return SimdKernelChoice::kAvx2;
-  if (TokenEquals(value, "avx512")) return SimdKernelChoice::kAvx512;
-  PLDP_LOG(Warning) << "unrecognized kernel choice \"" << value
-                    << "\" (expected scalar/avx2/avx512/auto); using auto";
-  return SimdKernelChoice::kAuto;
-}
-
-SimdKernelChoice DecodeKernelChoiceFromEnv() {
-  return ParseKernelChoice(std::getenv("PLDP_DECODE_KERNEL"));
-}
-
-SimdKernelChoice EncodeKernelChoiceFromEnv() {
-  return ParseKernelChoice(std::getenv("PLDP_ENCODE_KERNEL"));
-}
-
-SimdKernelChoice FwhtKernelChoiceFromEnv() {
-  return ParseKernelChoice(std::getenv("PLDP_FWHT_KERNEL"));
 }
 
 namespace {

@@ -16,42 +16,14 @@ namespace pldp {
 struct CpuFeatures {
   bool avx2 = false;
   bool fma = false;
-  /// The AVX-512 fields are only true when XCR0 reports opmask/ZMM state
-  /// enabled, so `avx512f` means the 512-bit decode kernel is safe to run
-  /// (see core/pcep_decode.h).
-  bool avx512f = false;
-  bool avx512bw = false;
-  bool avx512dq = false;
-  bool avx512vl = false;
 };
 
 /// The host's features, detected once on first call and cached.
 const CpuFeatures& GetCpuFeatures();
 
-/// Comma-separated list of the detected features ("avx2,fma,avx512f,...");
-/// "none" when nothing relevant is available. For selection logs.
+/// Comma-separated list of the detected features ("avx2,fma"); "none" when
+/// nothing relevant is available. For selection logs.
 std::string CpuFeaturesSummary();
-
-/// A SIMD kernel request: `kAuto` picks the best kernel the host supports,
-/// the others force a specific implementation (for A/B runs and tests).
-enum class SimdKernelChoice { kAuto, kScalar, kAvx2, kAvx512 };
-
-/// Parses "auto" / "scalar" / "avx2" / "avx512" (case-insensitive). nullptr
-/// and "" mean kAuto; an unrecognized token logs a warning and falls back to
-/// kAuto.
-SimdKernelChoice ParseKernelChoice(const char* value);
-
-/// The PLDP_DECODE_KERNEL environment override, re-read on every call so
-/// tests and benchdiff A/B drivers can flip it between kernel selections.
-SimdKernelChoice DecodeKernelChoiceFromEnv();
-
-/// The PLDP_ENCODE_KERNEL environment override (same token set; the encode
-/// family tops out at AVX2, so "avx512" falls back with a warning there).
-SimdKernelChoice EncodeKernelChoiceFromEnv();
-
-/// The PLDP_FWHT_KERNEL environment override for the fast Walsh–Hadamard
-/// decode kernels (core/fwht.h; same token set, tops out at AVX2).
-SimdKernelChoice FwhtKernelChoiceFromEnv();
 
 /// Processor topology used to shard fan-out work so accumulator partials are
 /// touched (and thus allocated) near the cores that fill them. `num_groups`

@@ -6,8 +6,8 @@
 // straggler tail; a hand-rolled SignAt + LocalRandomize loop pinning the
 // scalar kernel itself; RunPcepCollection transcript identity across kernels,
 // chunk counts, and PLDP_TOPOLOGY_GROUPS shard counts; the
-// PLDP_ENCODE_KERNEL override round-trip (including the avx512 token, which
-// the encode family does not implement and must fall back from); the shared
+// PLDP_ENCODE_KERNEL override round-trip (including avx512, which is not a
+// token and must warn and fall back like any unknown one); the shared
 // abort flag on an invalid-epsilon user mid-cohort; BatchKeepDecisions
 // against the per-device Rng reference; ComputeLrConstants edges; and
 // counter parity between kernels. Every AVX2 assertion skips gracefully when
@@ -214,8 +214,8 @@ TEST(PcepEncodeKernelTest, EnvOverrideRoundTrip) {
   env.Set("AVX2");  // tokens are case-insensitive
   EXPECT_EQ(ActiveEncodeKernel(), best);
 
-  // The encode family tops out at AVX2: a forced avx512 warns and falls back
-  // to the best available kernel instead of failing.
+  // avx512 is not a token: it warns like any unknown one and falls back to
+  // the best available kernel instead of failing.
   env.Set("avx512");
   EXPECT_EQ(ActiveEncodeKernel(), best);
 

@@ -20,7 +20,6 @@
 #include "core/pcep.h"
 #include "core/sign_matrix.h"
 #include "obs/metrics.h"
-#include "util/cpu.h"
 #include "util/random.h"
 
 namespace pldp {
@@ -28,10 +27,6 @@ namespace {
 
 bool Avx2Available() {
   return DecodeKernelAvailable(DecodeKernel::kAvx2);
-}
-
-bool Avx512Available() {
-  return DecodeKernelAvailable(DecodeKernel::kAvx512);
 }
 
 /// Entry-by-entry reference decode straight off the matrix definition.
@@ -107,12 +102,6 @@ TEST_P(PcepSimdParityTest, KernelsBitIdenticalAndMatchReference) {
     EXPECT_EQ(avx2_live, scalar_live);
     // The determinism contract: exact ==, not tolerance.
     EXPECT_EQ(avx2, scalar) << "avx2 kernel diverged at stride " << stride;
-    if (!Avx512Available()) continue;
-    std::vector<double> avx512;
-    const size_t avx512_live =
-        RunKernel(DecodeKernel::kAvx512, c, tau_size, &avx512);
-    EXPECT_EQ(avx512_live, scalar_live);
-    EXPECT_EQ(avx512, scalar) << "avx512 kernel diverged at stride " << stride;
   }
 }
 
@@ -127,15 +116,10 @@ INSTANTIATE_TEST_SUITE_P(TauSizes, PcepSimdParityTest,
 TEST(PcepSimdKernelTest, NamesAndAvailability) {
   EXPECT_STREQ(DecodeKernelName(DecodeKernel::kScalar), "scalar");
   EXPECT_STREQ(DecodeKernelName(DecodeKernel::kAvx2), "avx2");
-  EXPECT_STREQ(DecodeKernelName(DecodeKernel::kAvx512), "avx512");
   EXPECT_TRUE(DecodeKernelAvailable(DecodeKernel::kScalar));
 #ifndef __x86_64__
   EXPECT_FALSE(DecodeKernelAvailable(DecodeKernel::kAvx2));
-  EXPECT_FALSE(DecodeKernelAvailable(DecodeKernel::kAvx512));
 #endif
-  // AVX-512 support implies the AVX2 kernel is runnable too (the dispatch
-  // fallback order relies on it).
-  if (Avx512Available()) EXPECT_TRUE(Avx2Available());
 }
 
 /// Restores the pre-test PLDP_DECODE_KERNEL value (and cached selection) no
@@ -168,21 +152,20 @@ class ScopedKernelEnv {
 
 TEST(PcepSimdKernelTest, EnvOverrideRoundTrip) {
   ScopedKernelEnv env;
-  const DecodeKernel best = Avx512Available() ? DecodeKernel::kAvx512
-                            : Avx2Available() ? DecodeKernel::kAvx2
-                                              : DecodeKernel::kScalar;
+  const DecodeKernel best =
+      Avx2Available() ? DecodeKernel::kAvx2 : DecodeKernel::kScalar;
 
   env.Set("scalar");
   EXPECT_EQ(ActiveDecodeKernel(), DecodeKernel::kScalar);
 
-  // A forced avx2 runs avx2 where available (even if avx512 is better) and
-  // falls back to scalar gracefully where not.
+  // A forced avx2 runs avx2 where available and falls back to scalar
+  // gracefully where not.
   env.Set("avx2");
   EXPECT_EQ(ActiveDecodeKernel(), Avx2Available() ? DecodeKernel::kAvx2
                                                   : DecodeKernel::kScalar);
 
-  // A forced avx512 runs it where the host supports it and falls back to the
-  // best available kernel where it doesn't — never an error.
+  // avx512 is not a token: it warns like any unknown one and runs the best
+  // available kernel, never an error.
   env.Set("avx512");
   EXPECT_EQ(ActiveDecodeKernel(), best);
 
@@ -217,11 +200,6 @@ TEST(PcepSimdKernelTest, EstimateBitIdenticalAcrossKernels) {
   // exact ==, for any thread count.
   EXPECT_EQ(server.Estimate(), scalar);
   EXPECT_EQ(server.EstimateParallel(4), scalar_par);
-  if (Avx512Available()) {
-    env.Set("avx512");
-    EXPECT_EQ(server.Estimate(), scalar);
-    EXPECT_EQ(server.EstimateParallel(4), scalar_par);
-  }
 }
 
 TEST(PcepSimdKernelTest, ScratchSteadyStateDoesNotReallocate) {
