@@ -59,10 +59,11 @@ StatusOr<std::vector<double>> PcepOracle::EstimateCounts(
   PLDP_ASSIGN_OR_RETURN(const PcepServer server,
                         RunPcepCollection(users, width, params));
   const double encode_seconds = SecondsSince(encode_start);
-  // Decode on the shared pool. EstimateParallel is deterministic for a fixed
-  // thread count, so results depend on PLDP_THREADS / hardware_concurrency
-  // but never on scheduling; PLDP_THREADS=1 reproduces the sequential decode
-  // exactly.
+  // Decode on the shared pool. Called from inside a pool chunk (RunPsda's
+  // per-cluster fan-out), EstimateParallel is the serial Estimate(), so
+  // PSDA's bits never depend on the pool size. A top-level call decodes in
+  // pool-size shards: deterministic for a fixed size, never dependent on
+  // scheduling, and PLDP_THREADS=1 reproduces the serial decode exactly.
   const auto decode_start = std::chrono::steady_clock::now();
   StatusOr<std::vector<double>> counts =
       server.EstimateParallel(ThreadPool::Global().num_threads());

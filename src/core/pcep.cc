@@ -173,7 +173,12 @@ std::vector<double> PcepServer::Estimate() const {
 }
 
 std::vector<double> PcepServer::EstimateParallel(unsigned num_threads) const {
-  if (num_threads <= 1 || touched_rows_.size() < 2 * num_threads) {
+  // Nested inside a pool chunk (RunPsda's per-cluster fan-out), the chunks
+  // below would run inline anyway: the serial decode gives the same
+  // parallelism without partial shards, so the bits there do not depend on
+  // `num_threads`.
+  if (num_threads <= 1 || touched_rows_.size() < 2 * num_threads ||
+      ThreadPool::Global().InWorker()) {
     return Estimate();
   }
   PLDP_SPAN("pcep.decode_parallel");

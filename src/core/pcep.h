@@ -107,7 +107,9 @@ class PcepServer {
   /// per-chunk partials are combined in chunk order, so the result is
   /// deterministic for a fixed thread count — bit-identical across runs and
   /// across pool sizes — and equal to Estimate() up to floating-point
-  /// reassociation (relative differences at the 1e-12 scale).
+  /// reassociation (relative differences at the 1e-12 scale). Called from
+  /// inside a pool chunk, where its chunks would run inline, it is exactly
+  /// Estimate().
   std::vector<double> EstimateParallel(unsigned num_threads) const;
 
   /// The raw accumulator vector z (length m), exposed so the checkpoint

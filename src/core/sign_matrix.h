@@ -2,6 +2,7 @@
 #define PLDP_CORE_SIGN_MATRIX_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "util/bit_vector.h"
 #include "util/random.h"
@@ -68,6 +69,13 @@ class SignMatrix {
   /// dispatched FillSignWords kernel (core/pcep_decode.h); defined in
   /// sign_matrix.cc to keep this header kernel-free.
   BitVector Row(uint64_t row) const;
+
+  /// Appends the bytes BitVector::AppendBytes would write for Row(row) to
+  /// `out`, without building the BitVector: the words are filled a fixed
+  /// stack block at a time and copied out, the tail word masked. This is how
+  /// a row assignment goes straight from the matrix into a reply. Counts as
+  /// one materialized row, like Row().
+  void AppendRowBytes(uint64_t row, std::vector<uint8_t>* out) const;
 
  private:
   static double ComputeScale(uint64_t m);

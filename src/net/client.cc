@@ -102,10 +102,12 @@ Status NetClient::Connect(const std::string& host, uint16_t port) {
   return magic;
 }
 
-Status NetClient::SendFrame(FrameType type, const std::vector<uint8_t>& body) {
-  if (fd_ < 0) return Status::FailedPrecondition("client is not connected");
-  const std::vector<uint8_t> encoded = EncodeFrame(type, body);
-  out_.insert(out_.end(), encoded.begin(), encoded.end());
+Status NetClient::FinishFrame(size_t frame) {
+  if (fd_ < 0) {
+    out_.resize(frame);
+    return Status::FailedPrecondition("client is not connected");
+  }
+  EndFrame(&out_, frame);
   return out_.size() >= kIoChunk ? Flush() : Status::OK();
 }
 
@@ -153,7 +155,9 @@ StatusOr<bool> NetClient::UploadSpec(uint64_t user_id,
 }
 
 Status NetClient::SendSpecNoWait(uint64_t user_id, const SpecUploadMsg& msg) {
-  return SendFrame(FrameType::kSpecUpload, EncodeSpecUploadBody(user_id, msg));
+  const size_t frame = BeginFrame(&out_, FrameType::kSpecUpload);
+  AppendSpecUploadBody(&out_, user_id, msg);
+  return FinishFrame(frame);
 }
 
 StatusOr<bool> NetClient::ReadSpecAck() {
@@ -170,7 +174,9 @@ StatusOr<SealSpecsAckBody> NetClient::SealSpecs(uint64_t cohort_size) {
 }
 
 Status NetClient::SendSealSpecsNoWait(uint64_t cohort_size) {
-  return SendFrame(FrameType::kSealSpecs, EncodeSealSpecsBody(cohort_size));
+  const size_t frame = BeginFrame(&out_, FrameType::kSealSpecs);
+  AppendSealSpecsBody(&out_, cohort_size);
+  return FinishFrame(frame);
 }
 
 StatusOr<SealSpecsAckBody> NetClient::ReadSealSpecsAck() {
@@ -185,7 +191,9 @@ StatusOr<RowAssignmentMsg> NetClient::FetchAssignment(uint64_t user_id) {
 }
 
 Status NetClient::SendRowRequestNoWait(uint64_t user_id) {
-  return SendFrame(FrameType::kRowRequest, EncodeRowRequestBody(user_id));
+  const size_t frame = BeginFrame(&out_, FrameType::kRowRequest);
+  AppendRowRequestBody(&out_, user_id);
+  return FinishFrame(frame);
 }
 
 StatusOr<RowAssignmentMsg> NetClient::ReadAssignment() {
@@ -207,7 +215,9 @@ StatusOr<ReportOutcome> NetClient::SubmitReport(uint64_t user_id,
 }
 
 Status NetClient::SendReportNoWait(uint64_t user_id, const ReportMsg& msg) {
-  return SendFrame(FrameType::kReport, EncodeReportBody(user_id, msg));
+  const size_t frame = BeginFrame(&out_, FrameType::kReport);
+  AppendReportBody(&out_, user_id, msg);
+  return FinishFrame(frame);
 }
 
 StatusOr<ReportOutcome> NetClient::ReadReportAck() {
@@ -220,28 +230,32 @@ StatusOr<ReportOutcome> NetClient::ReadReportAck() {
 }
 
 StatusOr<uint64_t> NetClient::SealEpoch() {
-  PLDP_RETURN_IF_ERROR(SendFrame(FrameType::kSealEpoch, {}));
+  PLDP_RETURN_IF_ERROR(
+      FinishFrame(BeginFrame(&out_, FrameType::kSealEpoch)));
   PLDP_ASSIGN_OR_RETURN(const Frame ack,
                         ReadExpected(FrameType::kSealEpochAck));
   return ParseSealEpochAckBody(ack.body);
 }
 
 StatusOr<std::vector<double>> NetClient::FetchEstimates() {
-  PLDP_RETURN_IF_ERROR(SendFrame(FrameType::kFetchEstimates, {}));
+  PLDP_RETURN_IF_ERROR(
+      FinishFrame(BeginFrame(&out_, FrameType::kFetchEstimates)));
   PLDP_ASSIGN_OR_RETURN(const Frame reply,
                         ReadExpected(FrameType::kEstimates));
   return ParseEstimatesBody(reply.body);
 }
 
 StatusOr<StatsBody> NetClient::FetchStats() {
-  PLDP_RETURN_IF_ERROR(SendFrame(FrameType::kStatsRequest, {}));
+  PLDP_RETURN_IF_ERROR(
+      FinishFrame(BeginFrame(&out_, FrameType::kStatsRequest)));
   PLDP_ASSIGN_OR_RETURN(const Frame reply,
                         ReadExpected(FrameType::kStatsResponse));
   return ParseStatsBody(reply.body);
 }
 
 Status NetClient::Drain() {
-  PLDP_RETURN_IF_ERROR(SendFrame(FrameType::kDrain, {}));
+  PLDP_RETURN_IF_ERROR(
+      FinishFrame(BeginFrame(&out_, FrameType::kDrain)));
   PLDP_ASSIGN_OR_RETURN(const Frame reply, ReadExpected(FrameType::kDrainAck));
   if (reply.body.size() != 1 || reply.body[0] != 1) {
     return Status::InvalidArgument("malformed drain ack");

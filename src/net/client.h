@@ -17,9 +17,9 @@ namespace net {
 /// instance (connection reuse), and the pipelined report path keeps a window
 /// of frames in flight so throughput is not bound by one RTT per report.
 ///
-/// Every frame goes into one per-connection write buffer, and the kernel
-/// gets the buffer in one write per window rather than one per frame. The
-/// buffer is flushed:
+/// Every frame is encoded in place into one per-connection write buffer,
+/// and the kernel gets the buffer in one write per window rather than one
+/// per frame. The buffer is flushed:
 ///  - before a blocking read that finds no complete reply buffered, so a
 ///    caller never waits on replies to frames it still holds;
 ///  - when it reaches kIoChunk bytes (one daemon read);
@@ -30,6 +30,10 @@ namespace net {
 /// Flush(), SendRaw, or the *NoWait call that filled the buffer. Every
 /// write is a send() with MSG_NOSIGNAL, so a connection the daemon closed
 /// yields IoError, never SIGPIPE.
+///
+/// Replies are parsed straight out of the decoder's buffer, each before the
+/// next read, so a frame costs no heap allocation at either end; the one
+/// left is the BitVector a RowAssignmentMsg owns.
 ///
 /// Not thread-safe; each worker thread owns its own connection.
 class NetClient {
@@ -110,11 +114,14 @@ class NetClient {
   Status Drain();
 
  private:
-  /// Buffers one encoded frame; flushes once the buffer reaches kIoChunk.
-  Status SendFrame(FrameType type, const std::vector<uint8_t>& body);
+  /// Closes the frame BeginFrame(&out_, ...) started at `frame`, then
+  /// flushes once the buffer reaches kIoChunk. Not connected: the frame is
+  /// dropped and the result is FailedPrecondition.
+  Status FinishFrame(size_t frame);
 
   /// Reads until one complete frame is decoded, flushing first when none is
-  /// buffered.
+  /// buffered. The frame's body is a view into decoder_, valid until the
+  /// next read.
   StatusOr<Frame> ReadFrame();
 
   /// Reads one frame and requires `expected`; a kError frame is unwrapped

@@ -135,8 +135,7 @@ Status EpochEngine::SealRoster(
   return epoch_.Seal(std::move(roster), std::move(sorted), cohort_size);
 }
 
-StatusOr<RowAssignmentMsg> EpochEngine::Assignment(uint64_t user_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
+StatusOr<uint32_t> EpochEngine::SealedSlotLocked(uint64_t user_id) const {
   if (phase_ == Phase::kSealing) return SealRunning();
   if (phase_ == Phase::kCollectingSpecs) {
     return Status::FailedPrecondition(
@@ -147,7 +146,21 @@ StatusOr<RowAssignmentMsg> EpochEngine::Assignment(uint64_t user_id) const {
     return Status::NotFound("user " + std::to_string(user_id) +
                             " is not in the sealed roster");
   }
-  return epoch_.Assignment(*slot);
+  return *slot;
+}
+
+StatusOr<RowAssignmentMsg> EpochEngine::Assignment(uint64_t user_id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  PLDP_ASSIGN_OR_RETURN(const uint32_t slot, SealedSlotLocked(user_id));
+  return epoch_.Assignment(slot);
+}
+
+Status EpochEngine::AppendAssignment(uint64_t user_id,
+                                     std::vector<uint8_t>* out) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  PLDP_ASSIGN_OR_RETURN(const uint32_t slot, SealedSlotLocked(user_id));
+  epoch_.AppendAssignment(slot, out);
+  return Status::OK();
 }
 
 ReportOutcome EpochEngine::SubmitReport(uint64_t user_id,

@@ -129,6 +129,11 @@ class EpochEngine {
   /// the roster.
   StatusOr<RowAssignmentMsg> Assignment(uint64_t user_id) const;
 
+  /// Appends the sealed user's RowAssignmentMsg bytes to `out` (the
+  /// kRowAssignment reply body, encoded in place). Refuses exactly as
+  /// Assignment does, and then appends nothing.
+  Status AppendAssignment(uint64_t user_id, std::vector<uint8_t>* out) const;
+
   /// Stages one sanitized report. Never blocks on the accumulators; the
   /// outcome is the wire-level verdict carried in kReportAck.
   ReportOutcome SubmitReport(uint64_t user_id, const ReportMsg& msg);
@@ -181,6 +186,10 @@ class EpochEngine {
   /// no guarded field, so it runs without mu_ during kSealing.
   Status SealRoster(const std::unordered_map<uint64_t, PrivacySpec>& specs,
                     uint64_t cohort_size);
+
+  /// The slot of a sealed user, or the refusal Assignment returns; caller
+  /// holds mu_.
+  StatusOr<uint32_t> SealedSlotLocked(uint64_t user_id) const;
 
   /// Folds what is staged and writes a durable snapshot of `epoch_`. Caller
   /// holds mu_, or runs a seal; either way nothing else touches `epoch_`.

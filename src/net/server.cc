@@ -570,11 +570,11 @@ bool NetServer::HandleFrame(IoLoop* loop, Connection* conn,
       if (!body.ok()) return false;
       const SpecOutcome outcome =
           engine_->RegisterSpec(body->user_id, body->msg);
-      const uint8_t accepted = (outcome == SpecOutcome::kAccepted ||
-                                outcome == SpecOutcome::kDuplicate)
-                                   ? 1
-                                   : 0;
-      QueueFrame(conn, FrameType::kSpecAck, {accepted});
+      const uint8_t accepted[1] = {(outcome == SpecOutcome::kAccepted ||
+                                    outcome == SpecOutcome::kDuplicate)
+                                       ? uint8_t{1}
+                                       : uint8_t{0}};
+      QueueFrame(conn, FrameType::kSpecAck, accepted);
       return true;
     }
     case FrameType::kSealSpecs: {
@@ -586,23 +586,24 @@ bool NetServer::HandleFrame(IoLoop* loop, Connection* conn,
     case FrameType::kRowRequest: {
       const StatusOr<uint64_t> user_id = ParseRowRequestBody(frame.body);
       if (!user_id.ok()) return false;
-      const StatusOr<RowAssignmentMsg> assignment =
-          engine_->Assignment(*user_id);
-      if (!assignment.ok()) {
-        QueueFrame(conn, FrameType::kError,
-                   EncodeErrorBody(assignment.status()));
+      // The row goes straight from the sign matrix into the reply; a refusal
+      // appends nothing, and its frame becomes a kError instead.
+      const size_t reply = BeginFrame(&conn->out, FrameType::kRowAssignment);
+      const Status assigned = engine_->AppendAssignment(*user_id, &conn->out);
+      if (!assigned.ok()) {
+        conn->out.resize(reply);
+        QueueError(conn, assigned);
         return true;
       }
-      QueueFrame(conn, FrameType::kRowAssignment, assignment->Serialize());
+      EndReply(conn, reply);
       return true;
     }
     case FrameType::kReport: {
       const StatusOr<ReportBody> body = ParseReportBody(frame.body);
       if (!body.ok()) return false;
-      const ReportOutcome outcome =
-          engine_->SubmitReport(body->user_id, body->msg);
-      QueueFrame(conn, FrameType::kReportAck,
-                 {static_cast<uint8_t>(outcome)});
+      const uint8_t outcome[1] = {static_cast<uint8_t>(
+          engine_->SubmitReport(body->user_id, body->msg))};
+      QueueFrame(conn, FrameType::kReportAck, outcome);
       return true;
     }
     case FrameType::kSealEpoch:
@@ -610,13 +611,13 @@ bool NetServer::HandleFrame(IoLoop* loop, Connection* conn,
       return true;
     case FrameType::kFetchEstimates: {
       if (engine_->phase() != EpochEngine::Phase::kPublished) {
-        QueueFrame(conn, FrameType::kError,
-                   EncodeErrorBody(Status::FailedPrecondition(
-                       "estimates are published after seal_epoch")));
+        QueueError(conn, Status::FailedPrecondition(
+                             "estimates are published after seal_epoch"));
         return true;
       }
-      QueueFrame(conn, FrameType::kEstimates,
-                 EncodeEstimatesBody(engine_->published()));
+      const size_t reply = BeginFrame(&conn->out, FrameType::kEstimates);
+      AppendEstimatesBody(&conn->out, engine_->published());
+      EndReply(conn, reply);
       conn->estimates_queued = true;
       return true;
     }
@@ -626,14 +627,16 @@ bool NetServer::HandleFrame(IoLoop* loop, Connection* conn,
       // that lock across its work and the fold path is never touched, so a
       // stats poll answers during a seal and cannot perturb results.
       if (!frame.body.empty()) return false;
-      QueueFrame(conn, FrameType::kStatsResponse,
-                 EncodeStatsBody(ServiceStats()));
+      const size_t reply = BeginFrame(&conn->out, FrameType::kStatsResponse);
+      AppendStatsBody(&conn->out, ServiceStats());
+      EndReply(conn, reply);
       return true;
     }
     case FrameType::kDrain: {
       if (!frame.body.empty()) return false;
       BeginDrain();
-      QueueFrame(conn, FrameType::kDrainAck, {uint8_t{1}});
+      const uint8_t draining[1] = {1};
+      QueueFrame(conn, FrameType::kDrainAck, draining);
       return true;
     }
     default:
@@ -643,13 +646,24 @@ bool NetServer::HandleFrame(IoLoop* loop, Connection* conn,
   }
 }
 
-void NetServer::QueueFrame(Connection* conn, FrameType type,
-                           const std::vector<uint8_t>& body) {
+void NetServer::EndReply(Connection* conn, size_t frame) {
   static obs::Counter* tx_frames = NetCounter("net.frames_sent");
-  const std::vector<uint8_t> encoded = EncodeFrame(type, body);
-  conn->out.insert(conn->out.end(), encoded.begin(), encoded.end());
+  EndFrame(&conn->out, frame);
   frames_sent_.fetch_add(1, std::memory_order_relaxed);
   tx_frames->Increment();
+}
+
+void NetServer::QueueFrame(Connection* conn, FrameType type,
+                           std::span<const uint8_t> body) {
+  const size_t frame = BeginFrame(&conn->out, type);
+  conn->out.insert(conn->out.end(), body.begin(), body.end());
+  EndReply(conn, frame);
+}
+
+void NetServer::QueueError(Connection* conn, const Status& status) {
+  const size_t frame = BeginFrame(&conn->out, FrameType::kError);
+  AppendErrorBody(&conn->out, status);
+  EndReply(conn, frame);
 }
 
 bool NetServer::FlushWrites(IoLoop* loop, Connection* conn) {

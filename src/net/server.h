@@ -8,6 +8,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -71,6 +72,10 @@ struct NetServerStats {
 /// connection state is ever shared between threads — the only cross-thread
 /// objects are the engine, which guards itself, and the mutex-guarded queues
 /// that hand sockets, seals and acks between threads.
+///
+/// A decoded frame is a view into its connection's decoder, parsed before
+/// the next read, and every reply is encoded in place in the connection's
+/// write buffer, so a frame costs no heap allocation.
 ///
 /// Frame dispatch is synchronous for every frame but the two seals: a
 /// decoded report frame is one O(1) EpochEngine::SubmitReport call (staging,
@@ -157,8 +162,15 @@ class NetServer {
   /// or queues a seal frame for the seal thread and pauses the connection.
   /// False => protocol violation, close the connection.
   bool HandleFrame(IoLoop* loop, Connection* conn, const Frame& frame);
+  /// Replies are encoded in place in conn->out: BeginFrame starts one there,
+  /// the caller appends its body, and EndReply closes the frame and counts
+  /// it sent.
+  void EndReply(Connection* conn, size_t frame);
+  /// Queues one reply whose body is already encoded.
   void QueueFrame(Connection* conn, FrameType type,
-                  const std::vector<uint8_t>& body);
+                  std::span<const uint8_t> body);
+  /// Queues a kError reply carrying `status`.
+  void QueueError(Connection* conn, const Status& status);
   void CloseConnection(IoLoop* loop, Connection* conn);
   /// The seal thread: runs queued seals in arrival order.
   void SealMain();

@@ -10,12 +10,9 @@ namespace net {
 
 namespace {
 
-/// The SpecUploadMsg/ReportMsg parsers take a vector; the frame bodies embed
-/// them after the varint user id, so re-slice the remainder.
-std::vector<uint8_t> RemainderOf(const Reader& reader) {
-  return std::vector<uint8_t>(reader.Remaining(),
-                              reader.Remaining() + reader.RemainingSize());
-}
+/// What Next() says while a frame is incomplete. It fits the small-string
+/// buffer, so the miss allocates nothing.
+constexpr char kNeedMoreBytes[] = "need more bytes";
 
 }  // namespace
 
@@ -44,43 +41,62 @@ const char* ReportOutcomeName(ReportOutcome outcome) {
   return "?";
 }
 
+size_t BeginFrame(std::vector<uint8_t>* out, FrameType type) {
+  const size_t frame = out->size();
+  out->resize(frame + kFrameHeaderLen);
+  out->push_back(static_cast<uint8_t>(type));
+  return frame;
+}
+
+void EndFrame(std::vector<uint8_t>* out, size_t frame) {
+  uint8_t* header = out->data() + frame;
+  const uint8_t* payload = header + kFrameHeaderLen;
+  const size_t payload_len = out->size() - frame - kFrameHeaderLen;
+  StoreFixed32(header, static_cast<uint32_t>(payload_len));
+  StoreFixed32(header + 4, Crc32c(payload, payload_len));
+}
+
 std::vector<uint8_t> EncodeFrame(FrameType type,
                                  const std::vector<uint8_t>& body) {
-  Writer writer;
-  writer.PutFixed32(static_cast<uint32_t>(body.size() + 1));
-  uint8_t type_byte = static_cast<uint8_t>(type);
-  uint32_t crc = Crc32c(&type_byte, 1);
-  crc = ExtendCrc32c(crc, body.data(), body.size());
-  writer.PutFixed32(crc);
-  writer.PutByte(type_byte);
-  writer.PutRaw(body.data(), body.size());
-  return std::move(writer.bytes());
+  std::vector<uint8_t> out;
+  const size_t frame = BeginFrame(&out, type);
+  out.insert(out.end(), body.begin(), body.end());
+  EndFrame(&out, frame);
+  return out;
+}
+
+void AppendSpecUploadBody(std::vector<uint8_t>* out, uint64_t user_id,
+                          const SpecUploadMsg& msg) {
+  Writer(out).PutVarint64(user_id);
+  msg.AppendTo(out);
 }
 
 std::vector<uint8_t> EncodeSpecUploadBody(uint64_t user_id,
                                           const SpecUploadMsg& msg) {
-  Writer writer;
-  writer.PutVarint64(user_id);
-  const std::vector<uint8_t> inner = msg.Serialize();
-  writer.PutRaw(inner.data(), inner.size());
-  return std::move(writer.bytes());
+  std::vector<uint8_t> body;
+  AppendSpecUploadBody(&body, user_id, msg);
+  return body;
 }
 
-StatusOr<SpecUploadBody> ParseSpecUploadBody(const std::vector<uint8_t>& body) {
+StatusOr<SpecUploadBody> ParseSpecUploadBody(std::span<const uint8_t> body) {
   Reader reader(body);
   SpecUploadBody parsed;
   PLDP_ASSIGN_OR_RETURN(parsed.user_id, reader.GetVarint64());
-  PLDP_ASSIGN_OR_RETURN(parsed.msg, SpecUploadMsg::Parse(RemainderOf(reader)));
+  PLDP_ASSIGN_OR_RETURN(parsed.msg, SpecUploadMsg::Parse(reader.Rest()));
   return parsed;
 }
 
-std::vector<uint8_t> EncodeSealSpecsBody(uint64_t cohort_size) {
-  Writer writer;
-  writer.PutVarint64(cohort_size);
-  return std::move(writer.bytes());
+void AppendSealSpecsBody(std::vector<uint8_t>* out, uint64_t cohort_size) {
+  Writer(out).PutVarint64(cohort_size);
 }
 
-StatusOr<uint64_t> ParseSealSpecsBody(const std::vector<uint8_t>& body) {
+std::vector<uint8_t> EncodeSealSpecsBody(uint64_t cohort_size) {
+  std::vector<uint8_t> body;
+  AppendSealSpecsBody(&body, cohort_size);
+  return body;
+}
+
+StatusOr<uint64_t> ParseSealSpecsBody(std::span<const uint8_t> body) {
   Reader reader(body);
   PLDP_ASSIGN_OR_RETURN(const uint64_t cohort, reader.GetVarint64());
   if (!reader.AtEnd()) {
@@ -89,16 +105,22 @@ StatusOr<uint64_t> ParseSealSpecsBody(const std::vector<uint8_t>& body) {
   return cohort;
 }
 
-std::vector<uint8_t> EncodeSealSpecsAckBody(uint64_t num_clusters,
-                                            uint64_t spec_responders) {
-  Writer writer;
+void AppendSealSpecsAckBody(std::vector<uint8_t>* out, uint64_t num_clusters,
+                            uint64_t spec_responders) {
+  Writer writer(out);
   writer.PutVarint64(num_clusters);
   writer.PutVarint64(spec_responders);
-  return std::move(writer.bytes());
+}
+
+std::vector<uint8_t> EncodeSealSpecsAckBody(uint64_t num_clusters,
+                                            uint64_t spec_responders) {
+  std::vector<uint8_t> body;
+  AppendSealSpecsAckBody(&body, num_clusters, spec_responders);
+  return body;
 }
 
 StatusOr<SealSpecsAckBody> ParseSealSpecsAckBody(
-    const std::vector<uint8_t>& body) {
+    std::span<const uint8_t> body) {
   Reader reader(body);
   SealSpecsAckBody parsed;
   PLDP_ASSIGN_OR_RETURN(parsed.num_clusters, reader.GetVarint64());
@@ -109,13 +131,17 @@ StatusOr<SealSpecsAckBody> ParseSealSpecsAckBody(
   return parsed;
 }
 
-std::vector<uint8_t> EncodeRowRequestBody(uint64_t user_id) {
-  Writer writer;
-  writer.PutVarint64(user_id);
-  return std::move(writer.bytes());
+void AppendRowRequestBody(std::vector<uint8_t>* out, uint64_t user_id) {
+  Writer(out).PutVarint64(user_id);
 }
 
-StatusOr<uint64_t> ParseRowRequestBody(const std::vector<uint8_t>& body) {
+std::vector<uint8_t> EncodeRowRequestBody(uint64_t user_id) {
+  std::vector<uint8_t> body;
+  AppendRowRequestBody(&body, user_id);
+  return body;
+}
+
+StatusOr<uint64_t> ParseRowRequestBody(std::span<const uint8_t> body) {
   Reader reader(body);
   PLDP_ASSIGN_OR_RETURN(const uint64_t user_id, reader.GetVarint64());
   if (!reader.AtEnd()) {
@@ -124,29 +150,37 @@ StatusOr<uint64_t> ParseRowRequestBody(const std::vector<uint8_t>& body) {
   return user_id;
 }
 
-std::vector<uint8_t> EncodeReportBody(uint64_t user_id, const ReportMsg& msg) {
-  Writer writer;
-  writer.PutVarint64(user_id);
-  const std::vector<uint8_t> inner = msg.Serialize();
-  writer.PutRaw(inner.data(), inner.size());
-  return std::move(writer.bytes());
+void AppendReportBody(std::vector<uint8_t>* out, uint64_t user_id,
+                      const ReportMsg& msg) {
+  Writer(out).PutVarint64(user_id);
+  msg.AppendTo(out);
 }
 
-StatusOr<ReportBody> ParseReportBody(const std::vector<uint8_t>& body) {
+std::vector<uint8_t> EncodeReportBody(uint64_t user_id, const ReportMsg& msg) {
+  std::vector<uint8_t> body;
+  AppendReportBody(&body, user_id, msg);
+  return body;
+}
+
+StatusOr<ReportBody> ParseReportBody(std::span<const uint8_t> body) {
   Reader reader(body);
   ReportBody parsed;
   PLDP_ASSIGN_OR_RETURN(parsed.user_id, reader.GetVarint64());
-  PLDP_ASSIGN_OR_RETURN(parsed.msg, ReportMsg::Parse(RemainderOf(reader)));
+  PLDP_ASSIGN_OR_RETURN(parsed.msg, ReportMsg::Parse(reader.Rest()));
   return parsed;
 }
 
-std::vector<uint8_t> EncodeSealEpochAckBody(uint64_t num_cells) {
-  Writer writer;
-  writer.PutVarint64(num_cells);
-  return std::move(writer.bytes());
+void AppendSealEpochAckBody(std::vector<uint8_t>* out, uint64_t num_cells) {
+  Writer(out).PutVarint64(num_cells);
 }
 
-StatusOr<uint64_t> ParseSealEpochAckBody(const std::vector<uint8_t>& body) {
+std::vector<uint8_t> EncodeSealEpochAckBody(uint64_t num_cells) {
+  std::vector<uint8_t> body;
+  AppendSealEpochAckBody(&body, num_cells);
+  return body;
+}
+
+StatusOr<uint64_t> ParseSealEpochAckBody(std::span<const uint8_t> body) {
   Reader reader(body);
   PLDP_ASSIGN_OR_RETURN(const uint64_t num_cells, reader.GetVarint64());
   if (!reader.AtEnd()) {
@@ -155,19 +189,21 @@ StatusOr<uint64_t> ParseSealEpochAckBody(const std::vector<uint8_t>& body) {
   return num_cells;
 }
 
-std::vector<uint8_t> EncodeEstimatesBody(const std::vector<double>& counts) {
-  Writer writer;
+void AppendEstimatesBody(std::vector<uint8_t>* out,
+                         const std::vector<double>& counts) {
+  Writer writer(out);
   writer.PutVarint64(counts.size());
-  for (const double value : counts) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    writer.PutFixed64(bits);
-  }
-  return std::move(writer.bytes());
+  for (const double value : counts) writer.PutDouble(value);
+}
+
+std::vector<uint8_t> EncodeEstimatesBody(const std::vector<double>& counts) {
+  std::vector<uint8_t> body;
+  AppendEstimatesBody(&body, counts);
+  return body;
 }
 
 StatusOr<std::vector<double>> ParseEstimatesBody(
-    const std::vector<uint8_t>& body) {
+    std::span<const uint8_t> body) {
   Reader reader(body);
   PLDP_ASSIGN_OR_RETURN(const uint64_t count, reader.GetVarint64());
   // Bounds-check the count against the bytes actually present before any
@@ -179,16 +215,14 @@ StatusOr<std::vector<double>> ParseEstimatesBody(
   std::vector<double> counts;
   counts.reserve(count);
   for (uint64_t i = 0; i < count; ++i) {
-    PLDP_ASSIGN_OR_RETURN(const uint64_t bits, reader.GetFixed64());
-    double value = 0.0;
-    std::memcpy(&value, &bits, sizeof(value));
+    PLDP_ASSIGN_OR_RETURN(const double value, reader.GetDouble());
     counts.push_back(value);
   }
   return counts;
 }
 
-std::vector<uint8_t> EncodeStatsBody(const StatsBody& stats) {
-  Writer writer;
+void AppendStatsBody(std::vector<uint8_t>* out, const StatsBody& stats) {
+  Writer writer(out);
   writer.PutByte(stats.phase);
   writer.PutByte(stats.draining);
   writer.PutVarint64(stats.uptime_ms);
@@ -215,10 +249,15 @@ std::vector<uint8_t> EncodeStatsBody(const StatsBody& stats) {
   writer.PutVarint64(stats.bytes_received);
   writer.PutVarint64(stats.bytes_sent);
   writer.PutVarint64(stats.frame_errors);
-  return std::move(writer.bytes());
 }
 
-StatusOr<StatsBody> ParseStatsBody(const std::vector<uint8_t>& body) {
+std::vector<uint8_t> EncodeStatsBody(const StatsBody& stats) {
+  std::vector<uint8_t> body;
+  AppendStatsBody(&body, stats);
+  return body;
+}
+
+StatusOr<StatsBody> ParseStatsBody(std::span<const uint8_t> body) {
   Reader reader(body);
   StatsBody parsed;
   PLDP_ASSIGN_OR_RETURN(parsed.phase, reader.GetByte());
@@ -259,16 +298,21 @@ StatusOr<StatsBody> ParseStatsBody(const std::vector<uint8_t>& body) {
   return parsed;
 }
 
-std::vector<uint8_t> EncodeErrorBody(const Status& status) {
-  Writer writer;
+void AppendErrorBody(std::vector<uint8_t>* out, const Status& status) {
+  Writer writer(out);
   writer.PutVarint64(static_cast<uint64_t>(status.code()));
   const std::string& message = status.message();
   writer.PutRaw(reinterpret_cast<const uint8_t*>(message.data()),
                 message.size());
-  return std::move(writer.bytes());
 }
 
-StatusOr<ErrorBody> ParseErrorBody(const std::vector<uint8_t>& body) {
+std::vector<uint8_t> EncodeErrorBody(const Status& status) {
+  std::vector<uint8_t> body;
+  AppendErrorBody(&body, status);
+  return body;
+}
+
+StatusOr<ErrorBody> ParseErrorBody(std::span<const uint8_t> body) {
   Reader reader(body);
   PLDP_ASSIGN_OR_RETURN(const uint64_t code, reader.GetVarint64());
   if (code > static_cast<uint64_t>(StatusCode::kAborted)) {
@@ -305,7 +349,7 @@ StatusOr<Frame> FrameDecoder::Next() {
   if (poisoned_) return Status::InvalidArgument("frame stream poisoned");
   if (expect_magic_) {
     if (buffered() < kNetMagicLen) {
-      return Status::NotFound("awaiting connection magic");
+      return Status::NotFound(kNeedMoreBytes);
     }
     if (std::memcmp(buffer_.data() + consumed_, kNetMagic, kNetMagicLen) !=
         0) {
@@ -315,15 +359,11 @@ StatusOr<Frame> FrameDecoder::Next() {
     expect_magic_ = false;
   }
   if (buffered() < kFrameHeaderLen) {
-    return Status::NotFound("awaiting frame header");
+    return Status::NotFound(kNeedMoreBytes);
   }
   const uint8_t* header = buffer_.data() + consumed_;
-  uint32_t payload_len = 0;
-  uint32_t expected_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<uint32_t>(header[i]) << (8 * i);
-    expected_crc |= static_cast<uint32_t>(header[4 + i]) << (8 * i);
-  }
+  const uint32_t payload_len = LoadFixed32(header);
+  const uint32_t expected_crc = LoadFixed32(header + 4);
   // The length is attacker-controlled until the CRC verifies, so it is
   // sanity-bounded first: an oversized claim poisons the stream instead of
   // waiting forever for bytes that will never come (or allocating them).
@@ -332,7 +372,7 @@ StatusOr<Frame> FrameDecoder::Next() {
     return Poison("frame payload above limit");
   }
   if (buffered() < kFrameHeaderLen + payload_len) {
-    return Status::NotFound("awaiting frame payload");
+    return Status::NotFound(kNeedMoreBytes);
   }
   const uint8_t* payload = header + kFrameHeaderLen;
   if (Crc32c(payload, payload_len) != expected_crc) {
@@ -345,7 +385,7 @@ StatusOr<Frame> FrameDecoder::Next() {
   }
   Frame frame;
   frame.type = static_cast<FrameType>(type_byte);
-  frame.body.assign(payload + 1, payload + payload_len);
+  frame.body = std::span<const uint8_t>(payload + 1, payload_len - 1);
   consumed_ += kFrameHeaderLen + payload_len;
   return frame;
 }

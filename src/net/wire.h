@@ -2,6 +2,7 @@
 #define PLDP_NET_WIRE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,30 +100,51 @@ enum class ReportOutcome : uint8_t {
 StatusOr<ReportOutcome> ParseReportOutcome(uint8_t byte);
 const char* ReportOutcomeName(ReportOutcome outcome);
 
-/// One decoded frame: the type byte plus the body bytes after it.
+/// One decoded frame: the type byte plus a view of the body bytes after it,
+/// inside the decoder's buffer. Next() never moves that buffer, so the view
+/// stays valid until the decoder's next Feed: parse a frame before feeding
+/// more bytes.
 struct Frame {
   FrameType type = FrameType::kError;
-  std::vector<uint8_t> body;
+  std::span<const uint8_t> body;
 };
 
-/// Encodes `type` + `body` into a full frame (header included).
+/// In-place frame encoding. BeginFrame appends a frame's 8-byte header
+/// (still zero) and its type byte to `out` and returns where the frame
+/// starts; the caller appends the body; EndFrame patches the length and the
+/// CRC of the frame that starts at `frame` and runs to the end of `out`.
+/// Requests and replies go straight into a connection's write buffer this
+/// way, with no intermediate vector.
+size_t BeginFrame(std::vector<uint8_t>* out, FrameType type);
+void EndFrame(std::vector<uint8_t>* out, size_t frame);
+
+/// Encodes `type` + `body` into a full frame (header included), as an owned
+/// vector for tests and fault injection.
 std::vector<uint8_t> EncodeFrame(FrameType type,
                                  const std::vector<uint8_t>& body);
 
-/// Typed body encoders/decoders. Decoders validate everything (trailing
-/// bytes, embedded message parses, enum ranges) and never read out of
-/// bounds; they are the fuzz surface of tests/net_fuzz_test.cc.
+/// Typed body codecs. Each Append*Body appends its body to `out` and is the
+/// one encoder of its format; Encode*Body returns the same bytes as an owned
+/// vector, for the callers that need one (tests, fault injection, the seal
+/// thread's acks). Decoders validate everything (trailing bytes, embedded
+/// message parses, enum ranges) and never read out of bounds; they are the
+/// fuzz surface of tests/net_fuzz_test.cc.
+void AppendSpecUploadBody(std::vector<uint8_t>* out, uint64_t user_id,
+                          const SpecUploadMsg& msg);
 std::vector<uint8_t> EncodeSpecUploadBody(uint64_t user_id,
                                           const SpecUploadMsg& msg);
 struct SpecUploadBody {
   uint64_t user_id = 0;
   SpecUploadMsg msg;
 };
-StatusOr<SpecUploadBody> ParseSpecUploadBody(const std::vector<uint8_t>& body);
+StatusOr<SpecUploadBody> ParseSpecUploadBody(std::span<const uint8_t> body);
 
+void AppendSealSpecsBody(std::vector<uint8_t>* out, uint64_t cohort_size);
 std::vector<uint8_t> EncodeSealSpecsBody(uint64_t cohort_size);
-StatusOr<uint64_t> ParseSealSpecsBody(const std::vector<uint8_t>& body);
+StatusOr<uint64_t> ParseSealSpecsBody(std::span<const uint8_t> body);
 
+void AppendSealSpecsAckBody(std::vector<uint8_t>* out, uint64_t num_clusters,
+                            uint64_t spec_responders);
 std::vector<uint8_t> EncodeSealSpecsAckBody(uint64_t num_clusters,
                                             uint64_t spec_responders);
 struct SealSpecsAckBody {
@@ -130,26 +152,32 @@ struct SealSpecsAckBody {
   uint64_t spec_responders = 0;
 };
 StatusOr<SealSpecsAckBody> ParseSealSpecsAckBody(
-    const std::vector<uint8_t>& body);
+    std::span<const uint8_t> body);
 
+void AppendRowRequestBody(std::vector<uint8_t>* out, uint64_t user_id);
 std::vector<uint8_t> EncodeRowRequestBody(uint64_t user_id);
-StatusOr<uint64_t> ParseRowRequestBody(const std::vector<uint8_t>& body);
+StatusOr<uint64_t> ParseRowRequestBody(std::span<const uint8_t> body);
 
+void AppendReportBody(std::vector<uint8_t>* out, uint64_t user_id,
+                      const ReportMsg& msg);
 std::vector<uint8_t> EncodeReportBody(uint64_t user_id, const ReportMsg& msg);
 struct ReportBody {
   uint64_t user_id = 0;
   ReportMsg msg;
 };
-StatusOr<ReportBody> ParseReportBody(const std::vector<uint8_t>& body);
+StatusOr<ReportBody> ParseReportBody(std::span<const uint8_t> body);
 
+void AppendSealEpochAckBody(std::vector<uint8_t>* out, uint64_t num_cells);
 std::vector<uint8_t> EncodeSealEpochAckBody(uint64_t num_cells);
-StatusOr<uint64_t> ParseSealEpochAckBody(const std::vector<uint8_t>& body);
+StatusOr<uint64_t> ParseSealEpochAckBody(std::span<const uint8_t> body);
 
 /// Estimates are shipped as raw IEEE-754 bit patterns so the transport never
 /// rounds: what the server decoded is what the client compares.
+void AppendEstimatesBody(std::vector<uint8_t>* out,
+                         const std::vector<double>& counts);
 std::vector<uint8_t> EncodeEstimatesBody(const std::vector<double>& counts);
 StatusOr<std::vector<double>> ParseEstimatesBody(
-    const std::vector<uint8_t>& body);
+    std::span<const uint8_t> body);
 
 /// Live status snapshot carried by kStatsResponse: one consistent read of
 /// the engine's counters plus the server's socket-level tallies. All counts
@@ -182,16 +210,18 @@ struct StatsBody {
   uint64_t bytes_sent = 0;
   uint64_t frame_errors = 0;
 };
+void AppendStatsBody(std::vector<uint8_t>* out, const StatsBody& stats);
 std::vector<uint8_t> EncodeStatsBody(const StatsBody& stats);
-StatusOr<StatsBody> ParseStatsBody(const std::vector<uint8_t>& body);
+StatusOr<StatsBody> ParseStatsBody(std::span<const uint8_t> body);
 
+void AppendErrorBody(std::vector<uint8_t>* out, const Status& status);
 std::vector<uint8_t> EncodeErrorBody(const Status& status);
 struct ErrorBody {
   StatusCode code = StatusCode::kInternal;
   std::string message;
   Status ToStatus() const { return Status(code, message); }
 };
-StatusOr<ErrorBody> ParseErrorBody(const std::vector<uint8_t>& body);
+StatusOr<ErrorBody> ParseErrorBody(std::span<const uint8_t> body);
 
 /// Incremental frame extractor for one connection's byte stream. Feed bytes
 /// as they arrive; Next() hands back complete frames in order. The decoder
@@ -213,8 +243,10 @@ class FrameDecoder {
   }
 
   /// Extracts the next complete frame. Returns:
-  ///  - OK with a frame when one is fully buffered and verifies,
-  ///  - NotFound when more bytes are needed (not an error),
+  ///  - OK with a frame when one is fully buffered and verifies; its body
+  ///    is a view into this decoder, valid until the next Feed,
+  ///  - NotFound when more bytes are needed (not an error, and it allocates
+  ///    nothing),
   ///  - InvalidArgument (sticky) on any protocol violation.
   StatusOr<Frame> Next();
 

@@ -294,6 +294,15 @@ std::optional<uint32_t> EpochAccumulator::SlotOf(uint64_t user) const {
   return static_cast<uint32_t>(it - roster_.begin());
 }
 
+void EpochAccumulator::AppendAssignment(uint32_t slot,
+                                        std::vector<uint8_t>* out) const {
+  const Slot& s = slots_[slot];
+  const PcepServer& pcep = clusters_[s.cluster].pcep();
+  AppendRowAssignmentHeader(out, clusters_[s.cluster].region(), pcep.m(),
+                            s.row, pcep.sign_matrix().width());
+  pcep.sign_matrix().AppendRowBytes(s.row, out);
+}
+
 RowAssignmentMsg EpochAccumulator::Assignment(uint32_t slot) const {
   const Slot& s = slots_[slot];
   const PcepServer& pcep = clusters_[s.cluster].pcep();

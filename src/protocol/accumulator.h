@@ -190,7 +190,12 @@ class EpochAccumulator {
   /// The slot of `user`, or nullopt when the user is not in the roster.
   std::optional<uint32_t> SlotOf(uint64_t user) const;
 
-  /// The row assignment the slot's user perturbs against.
+  /// Appends the RowAssignmentMsg bytes of the slot's row assignment to
+  /// `out`, straight from the cluster's sign matrix. The daemon's replies
+  /// and the in-process downlink are both written by this one encoder.
+  void AppendAssignment(uint32_t slot, std::vector<uint8_t>* out) const;
+
+  /// The same assignment in structured form (tests compare against it).
   RowAssignmentMsg Assignment(uint32_t slot) const;
 
   /// True when the slot's report is already restored, staged or folded, or

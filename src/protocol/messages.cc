@@ -4,15 +4,19 @@
 
 namespace pldp {
 
-std::vector<uint8_t> SpecUploadMsg::Serialize() const {
-  Writer writer;
+void SpecUploadMsg::AppendTo(std::vector<uint8_t>* out) const {
+  Writer writer(out);
   writer.PutVarint64(safe_region);
   writer.PutDouble(epsilon);
-  return std::move(writer.bytes());
 }
 
-StatusOr<SpecUploadMsg> SpecUploadMsg::Parse(
-    const std::vector<uint8_t>& bytes) {
+std::vector<uint8_t> SpecUploadMsg::Serialize() const {
+  std::vector<uint8_t> bytes;
+  AppendTo(&bytes);
+  return bytes;
+}
+
+StatusOr<SpecUploadMsg> SpecUploadMsg::Parse(std::span<const uint8_t> bytes) {
   Reader reader(bytes);
   SpecUploadMsg msg;
   PLDP_ASSIGN_OR_RETURN(uint64_t region, reader.GetVarint64());
@@ -24,18 +28,29 @@ StatusOr<SpecUploadMsg> SpecUploadMsg::Parse(
   return msg;
 }
 
-std::vector<uint8_t> RowAssignmentMsg::Serialize() const {
-  Writer writer;
+void AppendRowAssignmentHeader(std::vector<uint8_t>* out, NodeId region,
+                               uint64_t m, uint64_t row_index,
+                               uint64_t width) {
+  Writer writer(out);
   writer.PutVarint64(region);
   writer.PutVarint64(m);
   writer.PutVarint64(row_index);
-  writer.PutVarint64(row_bits.size());
-  row_bits.AppendBytes(&writer.bytes());
-  return std::move(writer.bytes());
+  writer.PutVarint64(width);
+}
+
+void RowAssignmentMsg::AppendTo(std::vector<uint8_t>* out) const {
+  AppendRowAssignmentHeader(out, region, m, row_index, row_bits.size());
+  row_bits.AppendBytes(out);
+}
+
+std::vector<uint8_t> RowAssignmentMsg::Serialize() const {
+  std::vector<uint8_t> bytes;
+  AppendTo(&bytes);
+  return bytes;
 }
 
 StatusOr<RowAssignmentMsg> RowAssignmentMsg::Parse(
-    const std::vector<uint8_t>& bytes) {
+    std::span<const uint8_t> bytes) {
   Reader reader(bytes);
   RowAssignmentMsg msg;
   PLDP_ASSIGN_OR_RETURN(uint64_t region, reader.GetVarint64());
@@ -58,13 +73,17 @@ StatusOr<RowAssignmentMsg> RowAssignmentMsg::Parse(
   return msg;
 }
 
-std::vector<uint8_t> ReportMsg::Serialize() const {
-  Writer writer;
-  writer.PutByte(positive ? 1 : 0);
-  return std::move(writer.bytes());
+void ReportMsg::AppendTo(std::vector<uint8_t>* out) const {
+  Writer(out).PutByte(positive ? 1 : 0);
 }
 
-StatusOr<ReportMsg> ReportMsg::Parse(const std::vector<uint8_t>& bytes) {
+std::vector<uint8_t> ReportMsg::Serialize() const {
+  std::vector<uint8_t> bytes;
+  AppendTo(&bytes);
+  return bytes;
+}
+
+StatusOr<ReportMsg> ReportMsg::Parse(std::span<const uint8_t> bytes) {
   Reader reader(bytes);
   ReportMsg msg;
   PLDP_ASSIGN_OR_RETURN(uint8_t value, reader.GetByte());

@@ -2,6 +2,7 @@
 #define PLDP_PROTOCOL_MESSAGES_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "geo/taxonomy.h"
@@ -16,8 +17,10 @@ struct SpecUploadMsg {
   NodeId safe_region = kInvalidNode;
   double epsilon = 0.0;
 
+  /// Appends the encoded message to `out`; Serialize() is the owned copy.
+  void AppendTo(std::vector<uint8_t>* out) const;
   std::vector<uint8_t> Serialize() const;
-  static StatusOr<SpecUploadMsg> Parse(const std::vector<uint8_t>& bytes);
+  static StatusOr<SpecUploadMsg> Parse(std::span<const uint8_t> bytes);
 };
 
 /// Server -> client: the row of the JL matrix assigned to the user
@@ -31,9 +34,18 @@ struct RowAssignmentMsg {
   uint64_t row_index = 0;
   BitVector row_bits;
 
+  void AppendTo(std::vector<uint8_t>* out) const;
   std::vector<uint8_t> Serialize() const;
-  static StatusOr<RowAssignmentMsg> Parse(const std::vector<uint8_t>& bytes);
+  static StatusOr<RowAssignmentMsg> Parse(std::span<const uint8_t> bytes);
 };
+
+/// Appends the fields of a RowAssignmentMsg that precede its packed row:
+/// region, m, row index and the row's width in bits. The packed words follow
+/// (BitVector::AppendBytes, or SignMatrix::AppendRowBytes straight from the
+/// matrix), so every writer of the format shares this one header encoder.
+void AppendRowAssignmentHeader(std::vector<uint8_t>* out, NodeId region,
+                               uint64_t m, uint64_t row_index,
+                               uint64_t width);
 
 /// Client -> server: the sanitized bit (Algorithm 1, line 8). Only the sign
 /// is transmitted; the magnitude c_eps * sqrt(m) is public (the server knows
@@ -41,8 +53,9 @@ struct RowAssignmentMsg {
 struct ReportMsg {
   bool positive = false;
 
+  void AppendTo(std::vector<uint8_t>* out) const;
   std::vector<uint8_t> Serialize() const;
-  static StatusOr<ReportMsg> Parse(const std::vector<uint8_t>& bytes);
+  static StatusOr<ReportMsg> Parse(std::span<const uint8_t> bytes);
 };
 
 }  // namespace pldp

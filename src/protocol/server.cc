@@ -289,8 +289,8 @@ StatusOr<PsdaResult> AggregationServer::Execute(
         }
         const uint32_t user_index = epoch.roster()[slot];
         DeviceClient& client = (*clients)[user_index];
-        const std::vector<uint8_t> down_bytes =
-            epoch.Assignment(slot).Serialize();
+        std::vector<uint8_t> down_bytes;
+        epoch.AppendAssignment(slot, &down_bytes);
 
         bool accumulated = false;
         bool refused = false;

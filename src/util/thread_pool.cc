@@ -1,5 +1,7 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+
 #include <cstdlib>
 
 namespace pldp {
@@ -54,6 +56,15 @@ unsigned ThreadPool::ConfiguredThreadCount() {
     if (end != env && *end == '\0' && parsed > 0) {
       return parsed > 256 ? 256u : static_cast<unsigned>(parsed);
     }
+  }
+  // The CPUs this process may run on, not the machine's: a pool wider than
+  // the affinity mask only queues its workers behind each other (and behind
+  // the daemon's I/O loop when that shares the CPU).
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    const int count = CPU_COUNT(&allowed);
+    if (count > 0) return static_cast<unsigned>(count);
   }
   const unsigned hardware = std::thread::hardware_concurrency();
   return hardware == 0 ? 1 : hardware;

@@ -54,7 +54,8 @@ class ThreadPool {
   static ThreadPool& Global();
 
   /// The size Global() uses: the PLDP_THREADS environment variable when it
-  /// parses to a positive integer (clamped to 256), otherwise
+  /// parses to a positive integer (clamped to 256), otherwise the number of
+  /// CPUs in the calling thread's affinity mask (sched_getaffinity), else
   /// hardware_concurrency (1 when unknown).
   static unsigned ConfiguredThreadCount();
 

@@ -12,6 +12,7 @@
 #include "core/pcep_decode.h"
 #include "obs/metrics.h"
 #include "util/cpu.h"
+#include "util/thread_pool.h"
 
 namespace pldp {
 namespace {
@@ -223,6 +224,28 @@ TEST(PcepServerTest, ParallelDecodeMatchesSequential) {
   PcepServer small = PcepServer::Create(10, 10, params).value();
   small.Accumulate(0, 1.0);
   EXPECT_EQ(small.EstimateParallel(8), small.Estimate());
+}
+
+TEST(PcepServerTest, NestedParallelDecodeIsTheSerialDecode) {
+  // Inside a pool chunk (RunPsda's per-cluster fan-out) the decode's own
+  // chunks would run inline, so it must be exactly Estimate(): otherwise the
+  // published bits would follow the pool size.
+  std::vector<PcepUser> users;
+  for (int i = 0; i < 20000; ++i) {
+    users.push_back({static_cast<uint32_t>(i % 100), 1.0});
+  }
+  PcepParams params;
+  params.seed = 0xDEC0DE;
+  const PcepServer server = RunPcepCollection(users, 100, params).value();
+  const std::vector<double> sequential = server.Estimate();
+  for (const unsigned threads : {2u, 4u, 8u}) {
+    std::vector<double> nested;
+    ThreadPool::Global().ParallelFor(
+        0, 1, 1, [&](unsigned, size_t, size_t) {
+          nested = server.EstimateParallel(threads);
+        });
+    EXPECT_EQ(nested, sequential) << "threads " << threads;
+  }
 }
 
 TEST(PcepServerTest, ParallelCombineBitIdenticalToSerialCombine) {

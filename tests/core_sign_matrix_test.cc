@@ -1,6 +1,7 @@
 #include "core/sign_matrix.h"
 
 #include <cmath>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -41,6 +42,21 @@ TEST(SignMatrixTest, SignAtMatchesRow) {
           << "row " << row << " col " << col;
       EXPECT_DOUBLE_EQ(matrix.Entry(row, col),
                        bits.Get(col) ? matrix.scale() : -matrix.scale());
+    }
+  }
+}
+
+TEST(SignMatrixTest, AppendRowBytesMatchesRow) {
+  // Widths inside one fill block, exactly one block (4,096 bits), and past
+  // it, with and without a ragged tail word.
+  for (const uint64_t width : {1u, 64u, 130u, 4096u, 4097u, 8229u}) {
+    const SignMatrix matrix(width, 32, width);
+    for (uint64_t row = 0; row < 32; row += 5) {
+      std::vector<uint8_t> expected = {0x5A};
+      matrix.Row(row).AppendBytes(&expected);
+      std::vector<uint8_t> appended = {0x5A};
+      matrix.AppendRowBytes(row, &appended);
+      EXPECT_EQ(appended, expected) << "width " << width << " row " << row;
     }
   }
 }

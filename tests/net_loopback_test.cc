@@ -833,7 +833,8 @@ TEST(NetLoopbackTest, FramesThatArriveWithTheFinAreAnswered) {
     for (StatusOr<Frame> frame = replies.Next(); frame.ok();
          frame = replies.Next()) {
       EXPECT_EQ(frame->type, FrameType::kSpecAck);
-      EXPECT_EQ(frame->body, std::vector<uint8_t>{1});
+      EXPECT_EQ(std::vector<uint8_t>(frame->body.begin(), frame->body.end()),
+                std::vector<uint8_t>{1});
       ++acks;
     }
     EXPECT_EQ(acks, kSpecs) << "round " << round;

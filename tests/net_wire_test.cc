@@ -5,6 +5,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <span>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +19,11 @@
 namespace pldp {
 namespace net {
 namespace {
+
+/// An owned copy of a frame body view, for comparing against a vector.
+std::vector<uint8_t> Bytes(std::span<const uint8_t> view) {
+  return std::vector<uint8_t>(view.begin(), view.end());
+}
 
 std::vector<uint8_t> WithMagic(const std::vector<uint8_t>& frames) {
   std::vector<uint8_t> stream(reinterpret_cast<const uint8_t*>(kNetMagic),
@@ -35,7 +43,7 @@ TEST(NetWireTest, FrameRoundTripsThroughDecoder) {
   const auto frame = decoder.Next();
   ASSERT_TRUE(frame.ok()) << frame.status();
   EXPECT_EQ(frame->type, FrameType::kReport);
-  EXPECT_EQ(frame->body, body);
+  EXPECT_EQ(Bytes(frame->body), body);
   EXPECT_EQ(decoder.buffered(), 0u);
 
   // No more frames: NotFound is "need more bytes", not an error.
@@ -43,6 +51,104 @@ TEST(NetWireTest, FrameRoundTripsThroughDecoder) {
   ASSERT_FALSE(next.ok());
   EXPECT_EQ(next.status().code(), StatusCode::kNotFound);
   EXPECT_FALSE(decoder.poisoned());
+
+  // Every frame type encoded in place, back to back in one buffer, equals
+  // EncodeFrame over the owned body byte for byte, and decodes to it.
+  SpecUploadMsg spec;
+  spec.safe_region = 17;
+  spec.epsilon = 0.75;
+  ReportMsg report;
+  report.positive = true;
+  RowAssignmentMsg assignment;
+  assignment.region = 9;
+  assignment.m = 4099;
+  assignment.row_index = 300;
+  assignment.row_bits = BitVector(130);
+  for (size_t i = 0; i < 130; i += 3) assignment.row_bits.Set(i, true);
+  StatsBody stats;
+  stats.phase = 1;
+  stats.reports_staged = 123456;
+  const std::vector<double> counts = {1.5, -0.0, 1e300};
+  const Status error = Status::NotFound("user 7 is not in the sealed roster");
+  using Append = std::function<void(std::vector<uint8_t>*)>;
+  const std::vector<std::tuple<FrameType, std::vector<uint8_t>, Append>>
+      cases = {
+          {FrameType::kSpecUpload, EncodeSpecUploadBody(1u << 20, spec),
+           [&](auto* out) { AppendSpecUploadBody(out, 1u << 20, spec); }},
+          {FrameType::kSpecAck, {1}, [](auto* out) { out->push_back(1); }},
+          {FrameType::kSealSpecs, EncodeSealSpecsBody(100000),
+           [](auto* out) { AppendSealSpecsBody(out, 100000); }},
+          {FrameType::kSealSpecsAck, EncodeSealSpecsAckBody(235, 99983),
+           [](auto* out) { AppendSealSpecsAckBody(out, 235, 99983); }},
+          {FrameType::kRowRequest, EncodeRowRequestBody(42),
+           [](auto* out) { AppendRowRequestBody(out, 42); }},
+          {FrameType::kRowAssignment, assignment.Serialize(),
+           [&](auto* out) { assignment.AppendTo(out); }},
+          {FrameType::kReport, EncodeReportBody(7, report),
+           [&](auto* out) { AppendReportBody(out, 7, report); }},
+          {FrameType::kReportAck, {2}, [](auto* out) { out->push_back(2); }},
+          {FrameType::kSealEpoch, {}, [](auto*) {}},
+          {FrameType::kSealEpochAck, EncodeSealEpochAckBody(4096),
+           [](auto* out) { AppendSealEpochAckBody(out, 4096); }},
+          {FrameType::kFetchEstimates, {}, [](auto*) {}},
+          {FrameType::kEstimates, EncodeEstimatesBody(counts),
+           [&](auto* out) { AppendEstimatesBody(out, counts); }},
+          {FrameType::kError, EncodeErrorBody(error),
+           [&](auto* out) { AppendErrorBody(out, error); }},
+          {FrameType::kStatsRequest, {}, [](auto*) {}},
+          {FrameType::kStatsResponse, EncodeStatsBody(stats),
+           [&](auto* out) { AppendStatsBody(out, stats); }},
+          {FrameType::kDrain, {}, [](auto*) {}},
+          {FrameType::kDrainAck, {1}, [](auto* out) { out->push_back(1); }},
+      };
+  std::vector<uint8_t> stream;
+  for (const auto& [type, owned_body, append] : cases) {
+    const size_t frame = BeginFrame(&stream, type);
+    append(&stream);
+    EndFrame(&stream, frame);
+    const std::vector<uint8_t> in_place(stream.begin() + frame, stream.end());
+    EXPECT_EQ(in_place, EncodeFrame(type, owned_body))
+        << "frame type " << static_cast<int>(type);
+  }
+  FrameDecoder in_place_decoder(/*expect_magic=*/false);
+  in_place_decoder.Feed(stream);
+  for (const auto& [type, owned_body, append] : cases) {
+    const auto decoded = in_place_decoder.Next();
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(decoded->type, type);
+    EXPECT_EQ(Bytes(decoded->body), owned_body);
+  }
+  EXPECT_EQ(in_place_decoder.buffered(), 0u);
+}
+
+TEST(NetWireTest, FrameViewsOfABufferedWindowStayValid) {
+  // A pipelined window arrives in one read: every view Next() hands out
+  // stays valid until the next Feed, not just until the next Next().
+  constexpr size_t kWindow = 64;
+  std::vector<uint8_t> window;
+  for (size_t i = 0; i < kWindow; ++i) {
+    ReportMsg report;
+    report.positive = i % 3 == 0;
+    const size_t frame = BeginFrame(&window, FrameType::kReport);
+    AppendReportBody(&window, i * 1000, report);
+    EndFrame(&window, frame);
+  }
+  FrameDecoder decoder(/*expect_magic=*/false);
+  decoder.Feed(window);
+  std::vector<Frame> frames;
+  for (size_t i = 0; i < kWindow; ++i) {
+    auto frame = decoder.Next();
+    ASSERT_TRUE(frame.ok()) << frame.status();
+    frames.push_back(*frame);
+  }
+  EXPECT_EQ(decoder.Next().status().code(), StatusCode::kNotFound);
+  for (size_t i = 0; i < kWindow; ++i) {
+    EXPECT_EQ(frames[i].type, FrameType::kReport);
+    const auto body = ParseReportBody(frames[i].body);
+    ASSERT_TRUE(body.ok()) << "frame " << i << ": " << body.status();
+    EXPECT_EQ(body->user_id, i * 1000);
+    EXPECT_EQ(body->msg.positive, i % 3 == 0);
+  }
 }
 
 TEST(NetWireTest, DecoderConsumesMagicThenFrames) {
@@ -72,7 +178,7 @@ TEST(NetWireTest, DecoderHandlesByteAtATimeFeed) {
     const auto frame = decoder.Next();
     if (frame.ok()) {
       ++frames_seen;
-      EXPECT_EQ(frame->body, body);
+      EXPECT_EQ(Bytes(frame->body), body);
     } else {
       ASSERT_EQ(frame.status().code(), StatusCode::kNotFound)
           << frame.status();

@@ -2,14 +2,17 @@
 // accounting, snapshot/restore round trips, rejection of corrupt snapshots,
 // and the per-slot dedup that makes restarts double-count-proof.
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <numeric>
+#include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/pcep.h"
+#include "obs/metrics.h"
 #include "protocol/accumulator.h"
 #include "protocol/checkpoint.h"
 #include "util/random.h"
@@ -296,6 +299,51 @@ TEST(EpochAccumulatorTest, SealAndRestoreRefuseAMalformedRoster) {
   EXPECT_EQ(restore({0, 0, 2, 3}), StatusCode::kFailedPrecondition);
   EXPECT_EQ(restore({0, 1, 2, 10}), StatusCode::kFailedPrecondition);
   EXPECT_EQ(restore(good.roster), StatusCode::kOk);
+}
+
+TEST(EpochAccumulatorTest, AppendedAssignmentsEqualTheSerializedMessage) {
+  // 90 x 90 cells: the root's rows are 8,100 bits, more than one fill block
+  // of AppendRowBytes and with a ragged tail (8100 % 64 = 36); the regions
+  // one level above the leaves are narrow and ragged too.
+  const UniformGrid grid =
+      UniformGrid::Create(BoundingBox{0, 0, 90, 90}, 1, 1).value();
+  const SpatialTaxonomy tax = SpatialTaxonomy::Build(grid, 4).value();
+  ASSERT_EQ(tax.RegionSize(tax.root()) % 64, 36u);
+  PsdaOptions psda;
+  psda.enable_clustering = false;  // keep the root group a cluster of its own
+  std::vector<uint32_t> users(400);
+  std::iota(users.begin(), users.end(), 0u);
+  std::vector<PrivacySpec> specs;
+  for (const uint32_t u : users) {
+    const auto cell = static_cast<CellId>((u * 37) % grid.num_cells());
+    const NodeId narrow = tax.AncestorAbove(tax.LeafNodeOfCell(cell), 1);
+    specs.push_back(PrivacySpec{u % 2 == 0 ? tax.root() : narrow, 1.0});
+  }
+  EpochAccumulator epoch(&tax, psda, 0, AdmissionConfig{});
+  ASSERT_TRUE(epoch.Seal(users, std::move(specs), 400).ok());
+
+  auto& registry = obs::MetricsRegistry::Global();
+  registry.set_enabled(true);
+  const obs::Counter* rows =
+      registry.GetCounter("sign_matrix.rows_materialized");
+  std::set<uint64_t> widths;
+  for (uint32_t slot = 0; slot < users.size(); ++slot) {
+    const RowAssignmentMsg expected = epoch.Assignment(slot);
+    widths.insert(expected.row_bits.size());
+    std::vector<uint8_t> appended = {0xAB};  // appends after what is there
+    const uint64_t before = rows->Value();
+    epoch.AppendAssignment(slot, &appended);
+    EXPECT_EQ(rows->Value(), before + 1) << "slot " << slot;
+    const std::vector<uint8_t> serialized = expected.Serialize();
+    ASSERT_EQ(appended.size(), serialized.size() + 1) << "slot " << slot;
+    EXPECT_EQ(appended[0], 0xAB);
+    EXPECT_TRUE(std::equal(serialized.begin(), serialized.end(),
+                           appended.begin() + 1))
+        << "slot " << slot;
+  }
+  registry.set_enabled(false);
+  EXPECT_TRUE(widths.count(8100));
+  EXPECT_GE(widths.size(), 2u);
 }
 
 TEST(EpochAccumulatorTest, ShedReportsAreBookedAgainstTheirCluster) {

@@ -110,8 +110,8 @@ TEST(ReportMsgTest, RoundTripAndSize) {
 
 TEST(ReportMsgTest, RejectsMalformed) {
   EXPECT_FALSE(ReportMsg::Parse({}).ok());
-  EXPECT_FALSE(ReportMsg::Parse({2}).ok());
-  EXPECT_FALSE(ReportMsg::Parse({1, 0}).ok());
+  EXPECT_FALSE(ReportMsg::Parse(std::vector<uint8_t>{2}).ok());
+  EXPECT_FALSE(ReportMsg::Parse(std::vector<uint8_t>{1, 0}).ok());
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 #include "util/thread_pool.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -131,20 +134,54 @@ TEST(ThreadPoolTest, ConcurrentIssuersShareThePool) {
   EXPECT_EQ(total.load(), 4u * 50u * 64u);
 }
 
+/// The CPUs the calling thread may run on: what the pool falls back to.
+unsigned AffinityCount() {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof(allowed), &allowed) == 0) {
+    return static_cast<unsigned>(CPU_COUNT(&allowed));
+  }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
 TEST(ThreadPoolTest, ConfiguredThreadCountHonorsEnvOverride) {
   ::setenv("PLDP_THREADS", "3", 1);
   EXPECT_EQ(ThreadPool::ConfiguredThreadCount(), 3u);
   ::setenv("PLDP_THREADS", "100000", 1);
   EXPECT_EQ(ThreadPool::ConfiguredThreadCount(), 256u);
-  // Unparsable / non-positive values fall back to hardware_concurrency.
-  const unsigned hw = std::thread::hardware_concurrency();
-  const unsigned fallback = hw == 0 ? 1 : hw;
+  // Unparsable / non-positive values fall back to the affinity mask.
+  const unsigned fallback = AffinityCount();
   ::setenv("PLDP_THREADS", "0", 1);
   EXPECT_EQ(ThreadPool::ConfiguredThreadCount(), fallback);
   ::setenv("PLDP_THREADS", "garbage", 1);
   EXPECT_EQ(ThreadPool::ConfiguredThreadCount(), fallback);
   ::unsetenv("PLDP_THREADS");
   EXPECT_EQ(ThreadPool::ConfiguredThreadCount(), fallback);
+}
+
+TEST(ThreadPoolTest, ConfiguredThreadCountFollowsTheAffinityMask) {
+  // A process pinned to one CPU gets a one-thread pool, whatever the
+  // machine's CPU count: wider, its workers would queue behind each other.
+  cpu_set_t saved;
+  CPU_ZERO(&saved);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  int first = -1;
+  for (int cpu = 0; cpu < CPU_SETSIZE && first < 0; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) first = cpu;
+  }
+  ASSERT_GE(first, 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const char* env = std::getenv("PLDP_THREADS");
+  const std::string saved_env = env != nullptr ? env : "";
+  ::unsetenv("PLDP_THREADS");
+  const unsigned pinned = ThreadPool::ConfiguredThreadCount();
+  if (env != nullptr) ::setenv("PLDP_THREADS", saved_env.c_str(), 1);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(pinned, 1u);
 }
 
 TEST(ThreadPoolTest, GlobalIsASingleton) {
